@@ -97,17 +97,6 @@ def is_trivial(g: FgAbGroup) -> bool:
     return free == 0 and not torsion
 
 
-def group_order(g: FgAbGroup) -> int | None:
-    """Number of elements, or None when the group is infinite."""
-    free, torsion = invariants(g)
-    if free:
-        return None
-    n = 1
-    for d in torsion:
-        n *= d
-    return n
-
-
 def zero_vector(g: FgAbGroup) -> Vector:
     return (0,) * g.ambient
 
@@ -233,10 +222,6 @@ def compose_hom(f: AbHom, g: AbHom) -> AbHom:
     if f.dom.ambient == 0:
         return zero_hom(g.dom, f.cod)
     return AbHom(g.dom, f.cod, il.mat_mul(f.matrix, g.matrix))
-
-
-def add_hom(f: AbHom, g: AbHom) -> AbHom:
-    return AbHom(f.dom, f.cod, il.mat_add(f.matrix, g.matrix))
 
 
 def sub_hom(f: AbHom, g: AbHom) -> AbHom:

@@ -20,6 +20,7 @@ import random
 import sys
 import time
 
+from . import abgroups as ab
 from . import fintop as ft
 from . import generators as gen
 from . import indexcat as ic
@@ -48,109 +49,125 @@ def _seed(args) -> int:
     return DEFAULT_SEED
 
 
-def run_pipeline(payload: dict, seed: int, samples: int = DEFAULT_SAMPLES) -> tuple[dict, dict]:
-    """Construct the standard representative for the document's kind, run
-    the matching verifier, and return (report, artifacts)."""
-    kind = payload["kind"]
-    t0 = time.perf_counter()
-    if kind == "top":
-        report, artifacts = _run_top(payload, seed, samples)
-    elif kind == "sheaf":
-        report, artifacts = _run_sheaf(payload)
-    else:
-        report, artifacts = _run_ringed(payload)
-    report["kind"] = kind
-    report["variant"] = payload.get("variant")
-    report["seed"] = seed
-    timings = {"total_seconds": time.perf_counter() - t0}
-    artifacts["timings"] = timings
-    return report, artifacts
-
-
-def _run_top(payload, seed, samples):
-    data = payload["data"]
-    conditions = {}
+def _top_glue(data):
     try:
         functor = tg.functor_from_data(data, validate=True)
-        conditions["data_valid"] = True
     except ValidationError:
-        conditions["data_valid"] = False
-        return {"conditions": conditions, "verdict": False}, {}
-    rep = tg.standard_representative(functor)
-    glued_report = tg.verify_glued(rep.space, rep.iota, functor)
-    verdict = glued_report.pop("verdict")
-    conditions.update(glued_report)
-    rng = random.Random(seed)
-    sampled = True
+        return None
+    return functor, tg.standard_representative(functor)
+
+
+def _top_verify(functor, rep) -> dict:
+    return tg.verify_glued(rep.space, rep.iota, functor)
+
+
+def _top_sample(functor, rep, rng, samples) -> None:
     for _ in range(samples):
         cone = gen.random_cone(rng, functor, rep)
         tg.is_cone(cone.apex, cone.legs, functor)
         tg.mediating_morphism(cone, rep, functor)
         if tg.count_mediating_functions(cone, rep, functor) != 1:
             raise FalsificationError("sampled mediating morphism is not unique")
-    conditions["universal_sampled"] = sampled
-    verdict = verdict and conditions["data_valid"] and sampled
-    artifacts = {
+
+
+def _top_artifacts(functor, rep) -> dict:
+    return {
         "glued_space": ft.space_to_json(rep.space),
         "chart_images": {
             str(i): sorted(rep.iota[ic.single(i)].image_of(range(functor.objects[ic.single(i)].n)))
             for i in range(functor.n)
         },
     }
-    return {"conditions": conditions, "verdict": verdict}, artifacts
 
 
-def _run_sheaf(payload):
-    data = payload["data"]
-    conditions = {}
+def _sheaf_glue(data):
     try:
         functor = sg.sheaf_functor_from_data(data, require_sheaves=True)
-        conditions["data_valid"] = True
     except ValidationError:
-        conditions["data_valid"] = False
-        return {"conditions": conditions, "verdict": False}, {}
-    lim = sg.build_limit_sheaf(functor)
+        return None
+    return functor, sg.build_limit_sheaf(functor)
+
+
+def _sheaf_verify(functor, lim) -> dict:
     sheaf_ok, cert = ps.is_sheaf(lim.carrier)
     if not sheaf_ok:
         raise FalsificationError(f"limit of sheaves is not a sheaf: {cert}")
-    conditions["limit_is_sheaf"] = True
-    self_report = sg.verify_sheaf_glued(lim.carrier, lim.legs, functor, lim)
-    if not self_report["verdict"]:
-        raise FalsificationError(f"limit sheaf failed its own verification: {self_report}")
-    conditions.update({k: v for k, v in self_report.items() if k != "verdict"})
-    from . import abgroups as ab
+    report = sg.verify_sheaf_glued(lim.carrier, lim.legs, functor, lim)
+    if not report["verdict"]:
+        raise FalsificationError(f"limit sheaf failed its own verification: {report}")
+    return {"limit_is_sheaf": True, **report}
 
-    artifacts = {
+
+def _sheaf_artifacts(functor, lim) -> dict:
+    invariants = {v: ab.invariants(lim.carrier.group(v)) for v in lim.carrier.opens()}
+    return {
         "section_invariants": {
-            jsonio.open_key(v): list(ab.invariants(lim.carrier.group(v))[1]) + ["Z"] * ab.invariants(lim.carrier.group(v))[0]
-            for v in lim.carrier.opens()
+            jsonio.open_key(v): list(torsion) + ["Z"] * free for v, (free, torsion) in invariants.items()
         }
     }
-    return {"conditions": conditions, "verdict": True}, artifacts
 
 
-def _run_ringed(payload):
-    functor = payload["data"]
-    conditions = {}
-    validation = rgl.validate_ringed_functor(functor)
-    conditions["data_valid"] = validation["ok"]
-    if not validation["ok"]:
-        return {"conditions": conditions, "verdict": False}, {}
-    glued = rgl.glue_ringed(functor)
-    self_report = rgl.verify_ringed_glued(
-        glued.space, glued.top_legs, glued.projections, functor, glued
-    )
-    if not self_report["verdict"]:
-        raise FalsificationError(f"glued ringed space failed its own verification: {self_report}")
-    conditions.update({k: v for k, v in self_report.items() if k != "verdict"})
-    artifacts = {
+def _ringed_glue(g):
+    """glue_ringed validates the data itself; when it refuses, validating
+    again tells invalid data from a size refusal on valid data."""
+    try:
+        return g, rgl.glue_ringed(g)
+    except ValidationError:
+        if rgl.validate_ringed_functor(g)["ok"]:
+            raise
+        return None
+
+
+def _ringed_verify(g, glued) -> dict:
+    report = rgl.verify_ringed_glued(glued.space, glued.top_legs, glued.projections, g, glued)
+    if not report["verdict"]:
+        raise FalsificationError(f"glued ringed space failed its own verification: {report}")
+    return report
+
+
+def _ringed_artifacts(g, glued) -> dict:
+    return {
         "glued_space": ft.space_to_json(glued.space.top),
         "section_orders": {
             jsonio.open_key(v): glued.space.ring(v).order
             for v in glued.space.top.sorted_opens()
         },
     }
-    return {"conditions": conditions, "verdict": True}, artifacts
+
+
+# The pipeline of each kind, as plain functions:
+#   glue(data) checks the data and builds the limit: (functor, limit), or
+#     None when the data is invalid;
+#   verify(functor, limit) gives the conditions, with a "verdict" among them;
+#   sample(functor, limit, rng, samples) checks sampled cones (top only);
+#   artifacts(functor, limit) gives the artifacts dict.
+_PIPELINES = {
+    "top": (_top_glue, _top_verify, _top_sample, _top_artifacts),
+    "sheaf": (_sheaf_glue, _sheaf_verify, None, _sheaf_artifacts),
+    "ringed": (_ringed_glue, _ringed_verify, None, _ringed_artifacts),
+}
+
+
+def run_pipeline(payload: dict, seed: int, samples: int = DEFAULT_SAMPLES) -> tuple[dict, dict]:
+    """Construct the standard representative for the document's kind, run
+    the matching verifier, and return (report, artifacts)."""
+    t0 = time.perf_counter()
+    glue, verify, sample, artifacts_of = _PIPELINES[payload["kind"]]
+    glued = glue(payload["data"])
+    conditions = {"data_valid": glued is not None}
+    verdict, artifacts = False, {}
+    if glued is not None:
+        functor, limit = glued
+        conditions.update(verify(functor, limit))
+        verdict = conditions.pop("verdict")
+        if sample is not None:
+            sample(functor, limit, random.Random(seed), samples)
+            conditions["universal_sampled"] = True
+        artifacts = artifacts_of(functor, limit)
+    report = {"conditions": conditions, "verdict": verdict, "kind": payload["kind"],
+              "variant": payload.get("variant"), "seed": seed}
+    artifacts["timings"] = {"total_seconds": time.perf_counter() - t0}
+    return report, artifacts
 
 
 def emit_report(report: dict, path: str | None) -> str:
@@ -172,27 +189,28 @@ def _load(path: str) -> dict:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _apply_variant_override(payload: dict, variant: str | None) -> dict:
-    if variant is None:
-        return payload
-    payload["variant"] = variant
-    if payload["kind"] == "top":
-        payload["data"].open_variant = variant == "otop"
-    elif payload["kind"] == "ringed":
-        payload["data"].variant = variant
+def _prepare(path: str, variant: str | None) -> dict:
+    """Load and parse a document, apply the variant override, refuse the
+    scheme variant and a variant that does not belong to the kind."""
+    payload = jsonio.parse_document(_load(path))
+    kind = payload["kind"]
+    if variant is not None:
+        payload["variant"] = variant
+    if payload["variant"] == "sch":
+        raise UnsupportedFeature("scheme verification unsupported")
+    if payload["variant"] not in jsonio.VARIANTS[kind]:
+        raise ValidationError(f"/variant: variant {payload['variant']!r} does not apply to {kind} documents")
+    if kind == "top":
+        payload["data"].open_variant = payload["variant"] == "otop"
+    elif kind == "ringed":
+        payload["data"].variant = payload["variant"]
     return payload
 
 
 def _verify_one(path: str, args) -> int:
-    payload = jsonio.parse_document(_load(path))
-    payload = _apply_variant_override(payload, args.variant)
-    if payload["variant"] == "sch":
-        raise UnsupportedFeature("scheme verification unsupported")
-    report, artifacts = run_pipeline(payload, _seed(args), args.samples)
-    text = emit_report(report, args.out)
-    sys.stdout.write(text)
-    timing = artifacts.get("timings", {})
-    sys.stderr.write(f"timings: {json.dumps(timing, sort_keys=True)}\n")
+    report, artifacts = run_pipeline(_prepare(path, args.variant), _seed(args), args.samples)
+    sys.stdout.write(emit_report(report, args.out))
+    sys.stderr.write(f"timings: {json.dumps(artifacts['timings'], sort_keys=True)}\n")
     return EXIT_OK if report["verdict"] else EXIT_VERIFY_FAILED
 
 
@@ -206,10 +224,7 @@ def _cmd_verify(args) -> int:
             path = os.path.join(args.file, name)
             try:
                 code = _verify_one(path, args)
-            except UnsupportedFeature as exc:
-                sys.stderr.write(f"error: {path}: {exc}\n")
-                code = EXIT_INVALID_INPUT
-            except ValidationError as exc:
+            except (UnsupportedFeature, ValidationError) as exc:
                 sys.stderr.write(f"error: {path}: {exc}\n")
                 code = EXIT_INVALID_INPUT
             sys.stdout.write(f"{name}: exit {code}\n")
@@ -219,14 +234,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    payload = jsonio.parse_document(_load(args.file))
-    payload = _apply_variant_override(payload, args.variant)
-    if payload["variant"] == "sch":
-        raise UnsupportedFeature("scheme verification unsupported")
-    report, artifacts = run_pipeline(payload, _seed(args), args.samples)
+    report, artifacts = run_pipeline(_prepare(args.file, args.variant), _seed(args), args.samples)
     os.makedirs(args.out, exist_ok=True)
     emit_report(report, os.path.join(args.out, "report.json"))
-    timings = artifacts.pop("timings", {})
+    timings = artifacts.pop("timings")
     with open(os.path.join(args.out, "artifacts.json"), "w", encoding="utf-8") as fh:
         json.dump(artifacts, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -279,20 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify a gluing document")
     p_verify.add_argument("file")
     p_verify.add_argument("--out", default=None, help="write the report JSON here")
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p_verify.add_argument("--variant", choices=variant_choices, default=None,
-                          help="override the document's variant")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_build = sub.add_parser("build", help="verify and write artifacts")
     p_build.add_argument("file")
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--seed", type=int, default=None)
-    p_build.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p_build.add_argument("--variant", choices=variant_choices, default=None,
-                         help="override the document's variant")
     p_build.set_defaults(func=_cmd_build)
+
+    for p in (p_verify, p_build):
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+        p.add_argument("--variant", choices=variant_choices, default=None,
+                       help="override the document's variant")
 
     p_index = sub.add_parser("index", help="census of the gluing index category")
     p_index.add_argument("--n", type=int, required=True)
@@ -311,10 +320,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnsupportedFeature as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID_INPUT
-    except ValidationError as exc:
+    except (UnsupportedFeature, ValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
     except FalsificationError as exc:

@@ -9,7 +9,7 @@ standard fiber product through an explicit comparison map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 from .errors import ValidationError
 
@@ -112,6 +112,31 @@ def minimal_open(space: FinSpace, x: int) -> Open:
         if x in o:
             out &= o
     return out
+
+
+def _irredundant_covers(space: FinSpace, v: Open, max_size: int = 3):
+    """Candidate covers of the open v, as the sheaf checks use them: the
+    minimal-open cover of v, then every irredundant cover of v by at most
+    ``max_size`` nonempty opens."""
+    minimal = []
+    seen = set()
+    for x in sorted(v):
+        ux = minimal_open(space, x)
+        if ux not in seen:
+            seen.add(ux)
+            minimal.append(ux)
+    yield tuple(minimal)
+    candidates = [o for o in space.sorted_opens() if o and o <= v]
+    for size in range(1, max_size + 1):
+        for combo in combinations(candidates, size):
+            if frozenset().union(*combo) != v:
+                continue
+            if size > 1 and any(
+                combo[i] <= frozenset().union(*(combo[:i] + combo[i + 1:]))
+                for i in range(size)
+            ):
+                continue
+            yield combo
 
 
 def components_of_open(space: FinSpace, v: Open) -> list[frozenset[int]]:
@@ -236,14 +261,6 @@ def subspace_with_inclusion(space: FinSpace, pointset) -> tuple[FinSpace, Contin
     pts = sorted(set(pointset))
     incl = ContinuousMap(sub, space, tuple(pts))
     return sub, incl
-
-
-def corestrict(f: ContinuousMap, pointset) -> ContinuousMap:
-    """f with codomain cut down to a subspace containing its image."""
-    pts = sorted(set(pointset))
-    local = {p: k for k, p in enumerate(pts)}
-    sub = subspace(f.cod, pts)
-    return ContinuousMap(f.dom, sub, tuple(local[f.assign[x]] for x in range(f.dom.n)))
 
 
 def coproduct(spaces) -> tuple[FinSpace, list[ContinuousMap]]:

@@ -26,10 +26,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(m: int, n: int) -> Matrix:
-    return tuple((0,) * n for _ in range(m))
-
-
 def transpose(a: Matrix) -> Matrix:
     m, n = shape(a)
     return tuple(tuple(a[i][j] for i in range(m)) for j in range(n))
@@ -51,10 +47,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     if n != len(v):
         raise ValueError("shape mismatch in mat_vec")
     return tuple(sum(a[i][j] * v[j] for j in range(n)) for i in range(m))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:

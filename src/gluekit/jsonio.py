@@ -18,7 +18,7 @@ from . import ringedglue as rgl
 from . import sheafglue as sg
 from . import topglue as tg
 from .errors import ValidationError
-from .fintop import ContinuousMap, FinSpace
+from .fintop import FinSpace
 
 KINDS = ("top", "sheaf", "ringed")
 VARIANTS = {"top": ("top", "otop"), "sheaf": (None,), "ringed": ("rts", "lrts", "sch")}
@@ -50,7 +50,7 @@ def _require(doc: dict, key: str, pointer: str):
 def _space(doc, pointer) -> FinSpace:
     try:
         return ft.space_from_json(doc)
-    except (ValidationError, KeyError, TypeError) as exc:
+    except (ValidationError, KeyError, TypeError, ValueError) as exc:
         _fail(pointer, f"bad space: {exc}")
 
 
@@ -67,11 +67,13 @@ def parse_document(doc: dict) -> dict:
         _fail("/variant", f"top documents need variant 'top' or 'otop', got {variant!r}")
     if kind == "ringed" and variant not in VARIANTS["ringed"]:
         _fail("/variant", f"ringed documents need variant 'rts', 'lrts' or 'sch', got {variant!r}")
-    if kind == "top":
-        return {"kind": kind, "variant": variant, "data": _parse_top(doc)}
-    if kind == "sheaf":
-        return {"kind": kind, "variant": None, "data": _parse_sheaf(doc)}
-    return {"kind": kind, "variant": variant, "data": _parse_ringed(doc)}
+    parse = {"top": _parse_top, "sheaf": _parse_sheaf, "ringed": _parse_ringed}[kind]
+    try:
+        data = parse(doc)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        # a value of the wrong JSON type somewhere below the top level
+        _fail("/", f"malformed {kind} document: {type(exc).__name__}: {exc}")
+    return {"kind": kind, "variant": None if kind == "sheaf" else variant, "data": data}
 
 
 def _parse_top(doc) -> tg.TopGluingData:
@@ -281,7 +283,7 @@ def _parse_ringed(doc) -> rgl.RingedGluingFunctor:
     for rid, rdoc in _require(doc, "rings", "/").items():
         try:
             rings[rid] = rg.ring_from_json(rdoc)
-        except (ValidationError, KeyError, TypeError) as exc:
+        except (ValidationError, KeyError, TypeError, ValueError) as exc:
             _fail(f"/rings/{rid}", str(exc))
     charts = []
     for i, ch in enumerate(_require(doc, "charts", "/")):

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import abgroups as ab
-from . import intlinalg as il
 from .errors import ValidationError
-from .fintop import FinSpace, Open, components_of_open, minimal_open
+from .fintop import FinSpace, Open, _irredundant_covers, components_of_open
 
 RestrKey = tuple[Open, Open]
 
@@ -29,10 +28,7 @@ class Presheaf:
     restrictions: dict[RestrKey, ab.AbHom]
 
     def opens(self) -> list[Open]:
-        return sorted(
-            (o for o in self.space.opens if o <= self.domain),
-            key=lambda o: (len(o), sorted(o)),
-        )
+        return opens_below(self.space, self.domain)
 
     def group(self, v) -> ab.FgAbGroup:
         return self.sections[frozenset(v)]
@@ -116,36 +112,12 @@ def restrict_presheaf(f: Presheaf, u) -> Presheaf:
     return Presheaf(f.space, u, sections, restrictions)
 
 
-def _irredundant_covers(f: Presheaf, v: Open, max_size: int = 3):
-    """Candidate covers: the minimal-open cover of v plus every irredundant
-    cover by at most ``max_size`` nonempty opens."""
-    minimal = []
-    seen = set()
-    for x in sorted(v):
-        ux = minimal_open(f.space, x)
-        if ux not in seen:
-            seen.add(ux)
-            minimal.append(ux)
-    yield tuple(minimal)
-    candidates = [o for o in f.opens() if o and o <= v]
-    for size in range(1, max_size + 1):
-        for combo in combinations(candidates, size):
-            if frozenset().union(*combo) != v:
-                continue
-            if any(
-                combo[i] <= frozenset().union(*(combo[:i] + combo[i + 1:]))
-                for i in range(len(combo))
-            ) and size > 1:
-                continue
-            yield combo
-
-
 def _stack_homs(parts: list[ab.AbHom], dom: ab.FgAbGroup, cod_product: ab.FgAbGroup) -> ab.AbHom:
+    """The hom into a product whose components are ``parts``."""
     rows: list[tuple[int, ...]] = []
     for h in parts:
         rows.extend(h.matrix if h.cod.ambient else ())
-    mat = tuple(rows) if rows else tuple(() for _ in range(0))
-    return ab.AbHom(dom, cod_product, mat if cod_product.ambient else ())
+    return ab.AbHom(dom, cod_product, tuple(rows) if cod_product.ambient else ())
 
 
 def sheaf_condition_on_cover(f: Presheaf, v: Open, cover) -> tuple[bool, bool]:
@@ -207,7 +179,7 @@ def is_sheaf(f: Presheaf, max_cover_size: int = 3) -> tuple[bool, dict | None]:
     for v in f.opens():
         if not v:
             continue
-        for cover in _irredundant_covers(f, v, max_cover_size):
+        for cover in _irredundant_covers(f.space, v, max_cover_size):
             ident, glue = sheaf_condition_on_cover(f, v, cover)
             if not ident:
                 return False, {"axiom": "identity", "open": sorted(v), "cover": [sorted(c) for c in cover]}
@@ -366,18 +338,6 @@ def check_nat_iso(iso: NatIso) -> tuple[bool, list[str]]:
     return not problems, problems
 
 
-def make_nat_iso(dom: Presheaf, cod: Presheaf, components) -> NatIso:
-    iso = NatIso(dom, cod, {frozenset(k): v for k, v in components.items()})
-    ok, problems = check_nat_iso(iso)
-    if not ok:
-        raise ValidationError("; ".join(problems))
-    return iso
-
-
-def identity_nat_iso(f: Presheaf) -> NatIso:
-    return NatIso(f, f, {o: ab.id_hom(f.group(o)) for o in f.opens()})
-
-
 def inverse_nat_iso(iso: NatIso) -> NatIso:
     comps = {}
     for w, h in iso.components.items():
@@ -393,13 +353,4 @@ def compose_nat_iso(i2: NatIso, i1: NatIso) -> NatIso:
         i1.dom,
         i2.cod,
         {w: ab.compose_hom(i2.components[w], i1.components[w]) for w in i1.components},
-    )
-
-
-def restrict_nat_iso(iso: NatIso, u) -> NatIso:
-    u = frozenset(u)
-    return NatIso(
-        restrict_presheaf(iso.dom, u),
-        restrict_presheaf(iso.cod, u),
-        {w: h for w, h in iso.components.items() if w <= u},
     )

@@ -19,7 +19,7 @@ from . import fintop as ft
 from . import rings as rg
 from . import topglue as tg
 from .errors import FalsificationError, UnsupportedFeature, ValidationError
-from .fintop import ContinuousMap, FinSpace, Open, minimal_open
+from .fintop import ContinuousMap, FinSpace, Open, _irredundant_covers, minimal_open
 from .indexcat import pair, single, triple
 from .presheaves import opens_below
 
@@ -87,28 +87,6 @@ def make_ringed_space(top: FinSpace, sections, restr, check_sheaf: bool = True) 
     return space
 
 
-def _cover_candidates(space: RingedSpace, v: Open, max_size: int = 3):
-    mins = []
-    seen = set()
-    for x in sorted(v):
-        ux = minimal_open(space.top, x)
-        if ux not in seen:
-            seen.add(ux)
-            mins.append(ux)
-    yield tuple(mins)
-    members = [o for o in space.top.sorted_opens() if o and o <= v]
-    for size in range(1, max_size + 1):
-        for combo in combinations(members, size):
-            if frozenset().union(*combo) != v:
-                continue
-            if size > 1 and any(
-                combo[i] <= frozenset().union(*(combo[:i] + combo[i + 1:]))
-                for i in range(size)
-            ):
-                continue
-            yield combo
-
-
 def ring_sheaf_failures(space: RingedSpace, max_cover_size: int = 3) -> list[str]:
     """Identity and gluing axioms over the standard cover family, decided
     by direct enumeration of sections."""
@@ -120,7 +98,7 @@ def ring_sheaf_failures(space: RingedSpace, max_cover_size: int = 3) -> list[str
     for v in space.top.sorted_opens():
         if not v:
             continue
-        for cover in _cover_candidates(space, v, max_cover_size):
+        for cover in _irredundant_covers(space.top, v, max_cover_size):
             tuples_seen = {}
             for s in space.ring(v).elements():
                 key = tuple(space.res(v, c)(s) for c in cover)
@@ -351,10 +329,16 @@ def validate_ringed_functor(g: RingedGluingFunctor) -> dict:
     """Report-style validation of the chart data: overlap/transition shape,
     transport naturality, inverse and cocycle laws, the induced topological
     functor, and the locality requirements of the lrts variant."""
+    return _validate(g)[0]
+
+
+def _validate(g: RingedGluingFunctor) -> tuple[dict, tg.TopGluingFunctor | None]:
+    """The validation report, and the validated induced topological functor
+    once the report gets that far."""
     report = {"shape": [], "transports": [], "cocycle": [], "top": [], "locality": [], "ok": False}
     if g.variant not in VARIANTS:
         report["shape"].append(f"unknown variant {g.variant!r}")
-        return report
+        return report, None
     n = g.n
     for i, j in permutations(range(n), 2):
         ov = g.overlaps.get((i, j))
@@ -370,7 +354,7 @@ def validate_ringed_functor(g: RingedGluingFunctor) -> dict:
         if any(back.get(t[p]) != p for p in ov):
             report["shape"].append(f"transitions ({i},{j}) and ({j},{i}) are not inverse")
     if report["shape"]:
-        return report
+        return report, None
     for i, j in permutations(range(n), 2):
         ov = g.overlaps[(i, j)]
         opens = opens_below(g.charts[i].top, ov)
@@ -402,7 +386,7 @@ def validate_ringed_functor(g: RingedGluingFunctor) -> dict:
             if back != rg.identity_ring_hom(g.charts[i].ring(w)):
                 report["transports"].append(f"transports ({i},{j}),({j},{i}) not inverse at {sorted(w)}")
     if report["transports"]:
-        return report
+        return report, None
     for i, j, k in permutations(range(n), 3):
         zone = g.overlaps[(i, j)] & g.overlaps[(i, k)]
         if g.top_image(i, j, zone) != g.overlaps[(j, i)] & g.overlaps[(j, k)]:
@@ -415,16 +399,12 @@ def validate_ringed_functor(g: RingedGluingFunctor) -> dict:
             if lhs != g.transports[(i, k)][w]:
                 report["cocycle"].append(f"cocycle fails at ({i},{j},{k}) on {sorted(w)}")
     if report["cocycle"]:
-        return report
+        return report, None
     try:
         top_functor = induced_top_functor(g)
     except ValidationError as exc:
         report["top"].append(str(exc))
-        return report
-    top_report = tg.validate_functor(top_functor)
-    if not top_report["ok"]:
-        report["top"].append(top_report)
-        return report
+        return report, None
     if g.variant == "lrts":
         for i in range(n):
             for x in range(g.charts[i].top.n):
@@ -443,7 +423,7 @@ def validate_ringed_functor(g: RingedGluingFunctor) -> dict:
                 if not rg.is_local_hom(h):
                     report["locality"].append(f"transition ({i},{j}) stalk map at {x} is not local")
     report["ok"] = not report["locality"]
-    return report
+    return report, top_functor
 
 
 def induced_top_functor(g: RingedGluingFunctor) -> tg.TopGluingFunctor:
@@ -504,6 +484,7 @@ class GluedRinged:
     top_legs: dict[int, ContinuousMap]
     projections: dict[int, dict[Open, rg.RingHom]]
     members: dict[Open, list[tuple[int, ...]]]
+    top_functor: tg.TopGluingFunctor
 
 
 def glue_ringed(g: RingedGluingFunctor) -> GluedRinged:
@@ -515,10 +496,9 @@ def glue_ringed(g: RingedGluingFunctor) -> GluedRinged:
     input.
     """
     _check_sch(g)
-    report = validate_ringed_functor(g)
+    report, top_functor = _validate(g)
     if not report["ok"]:
         raise ValidationError(f"invalid ringed gluing data: {report}")
-    top_functor = induced_top_functor(g)
     rep = tg.standard_representative(top_functor)
     q = rep.space
     top_legs = {i: rep.iota[single(i)] for i in range(g.n)}
@@ -598,7 +578,7 @@ def glue_ringed(g: RingedGluingFunctor) -> GluedRinged:
         for v in q.sorted_opens():
             if not rg.is_ring_hom(projections[i][v]):
                 raise FalsificationError("projection is not a ring hom")
-    glued = GluedRinged(rep, space, top_legs, projections, members)
+    glued = GluedRinged(rep, space, top_legs, projections, members, top_functor)
     _executed_stalk_checks(g, glued)
     return glued
 
@@ -723,7 +703,7 @@ def verify_ringed_glued(
     }
     if glued is None:
         glued = glue_ringed(g)
-    top_functor = induced_top_functor(g)
+    top_functor = glued.top_functor
     legs = {single(i): top_legs[i] for i in range(g.n)}
     for i, j in permutations(range(g.n), 2):
         legs[pair(i, j)] = ft.compose(top_legs[i], top_functor.arrows[tg.Eta(i, j)])

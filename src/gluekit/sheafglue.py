@@ -21,11 +21,10 @@ from .indexcat import (
     EtaT,
     Generator,
     IdxObj,
-    Tau,
-    TauT,
     check_generator_relations,
     enumerate_objects,
     generator_path,
+    generators,
     pair,
     single,
     triple,
@@ -78,15 +77,9 @@ class SheafGluingFunctor:
         return self.transitions[(i, j)].component(w)
 
     def gen_image(self, g: Generator) -> ps.EnrichedMorphism:
-        if isinstance(g, Eta):
-            return _restriction_enriched(self.obj(g.dom), self.obj(g.cod))
-        if isinstance(g, EtaT):
-            return _restriction_enriched(self.obj(g.dom), self.obj(g.cod))
-        if isinstance(g, Tau):
-            dom, cod = self.obj(g.dom), self.obj(g.cod)
-            comps = {w: self.transition_component(g.j, g.i, w) for w in dom.opens()}
-            return ps.EnrichedMorphism(dom, cod, comps)
         dom, cod = self.obj(g.dom), self.obj(g.cod)
+        if isinstance(g, (Eta, EtaT)):
+            return _restriction_enriched(dom, cod)
         comps = {w: self.transition_component(g.j, g.i, w) for w in dom.opens()}
         return ps.EnrichedMorphism(dom, cod, comps)
 
@@ -162,7 +155,7 @@ def sheaf_functor_from_data(data: SheafGluingData, require_sheaves: bool = False
     functor = SheafGluingFunctor(data.base, data.cover, data.sheaves, data.transitions)
     failures = check_generator_relations(
         n,
-        {g: functor.gen_image(g) for g in _all_generators(n)},
+        {g: functor.gen_image(g) for g in generators(n)},
         compose=ps.compose_enriched,
         eq=ps.same_enriched,
         identity=lambda a: ps.identity_enriched(functor.obj(a)),
@@ -177,12 +170,6 @@ def sheaf_functor_from_data(data: SheafGluingData, require_sheaves: bool = False
     return functor
 
 
-def _all_generators(n):
-    from .indexcat import generators
-
-    return generators(n)
-
-
 def data_from_sheaf_functor(g: SheafGluingFunctor) -> SheafGluingData:
     return SheafGluingData(g.base, g.cover, g.sheaves, g.transitions)
 
@@ -193,13 +180,6 @@ class LimitSheaf:
     projections: dict[int, dict[Open, ab.AbHom]]
     inclusions: dict[Open, ab.AbHom]
     legs: dict[IdxObj, ps.EnrichedMorphism]
-
-
-def _stack(parts, dom, cod_product):
-    rows = []
-    for h in parts:
-        rows.extend(h.matrix if h.cod.ambient else ())
-    return ab.AbHom(dom, cod_product, tuple(rows) if cod_product.ambient else ())
 
 
 def build_limit_sheaf(g: SheafGluingFunctor) -> LimitSheaf:
@@ -231,8 +211,8 @@ def build_limit_sheaf(g: SheafGluingFunctor) -> LimitSheaf:
         if constraints_first:
             targets = [h.cod for h in constraints_first]
             d_prod, _, _ = ab.product(targets)
-            p_hom = _stack(constraints_first, prod, d_prod)
-            q_hom = _stack(constraints_second, prod, d_prod)
+            p_hom = ps._stack_homs(constraints_first, prod, d_prod)
+            q_hom = ps._stack_homs(constraints_second, prod, d_prod)
             sec, incl = ab.equalizer(p_hom, q_hom)
         else:
             sec, incl = prod, ab.id_hom(prod)
@@ -247,7 +227,7 @@ def build_limit_sheaf(g: SheafGluingFunctor) -> LimitSheaf:
             prod_res_parts = [
                 ab.compose_hom(blocks[i], part_projs[u][i]) for i in range(g.n)
             ]
-            prod_res = _stack(prod_res_parts, products[u], products[v])
+            prod_res = ps._stack_homs(prod_res_parts, products[u], products[v])
             fac = ab.factor_through(ab.compose_hom(prod_res, inclusions[u]), inclusions[v])
             if fac is None:
                 raise FalsificationError(
@@ -301,7 +281,7 @@ def mediating_into_limit(
     for v in lim.carrier.opens():
         parts = [legs[single(i)].component(v) for i in range(g.n)]
         prod = lim.inclusions[v].cod
-        tuple_hom = _stack(parts, apex.group(v), prod)
+        tuple_hom = ps._stack_homs(parts, apex.group(v), prod)
         fac = ab.factor_through(tuple_hom, lim.inclusions[v])
         if fac is None:
             return None

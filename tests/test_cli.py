@@ -13,6 +13,11 @@ def fixture(name):
     return os.path.join(FIXTURES, name)
 
 
+def load_fixture(name):
+    with open(fixture(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def run_main(capsys, *args):
     code = cli.main(list(args))
     captured = capsys.readouterr()
@@ -63,7 +68,7 @@ def test_index_command_and_dot(capsys, tmp_path):
 
 
 def test_sch_variant_rejected(capsys, tmp_path):
-    doc = json.loads(open(fixture("two_origins_ringed.json")).read())
+    doc = load_fixture("two_origins_ringed.json")
     doc["variant"] = "sch"
     path = tmp_path / "sch.json"
     path.write_text(json.dumps(doc))
@@ -80,8 +85,64 @@ def test_sch_variant_flag_rejects_any_document(capsys):
     assert "scheme verification unsupported" in err
 
 
+@pytest.mark.parametrize("name, variant, expected", [
+    ("two_origins.json", "top", 0),
+    ("two_origins.json", "lrts", 2),
+    ("two_origins_ringed.json", "rts", 0),
+    ("two_origins_ringed.json", "otop", 2),
+    ("two_origins_sheaf.json", "top", 2),
+    ("two_origins_sheaf.json", "rts", 2),
+])
+def test_variant_override_must_belong_to_the_kind(capsys, name, variant, expected):
+    code, out, err = run_main(capsys, "verify", fixture(name), "--variant", variant, "--samples", "3")
+    assert code == expected, err
+    if expected == 2:
+        assert "/variant" in err
+    else:
+        assert json.loads(out)["variant"] == variant
+
+
+# (fixture, key path, value): each puts a value of the wrong JSON type into a fixture
+MALFORMED = [
+    ("two_origins.json", ("spaces",), []),
+    ("two_origins.json", ("charts",), 5),
+    ("two_origins.json", ("spaces", "s0", "points"), "x"),
+    ("two_origins_ringed.json", ("rings", "r0", "one"), "z"),
+    ("two_origins_sheaf.json", ("cover", 0), ["a"]),
+]
+
+
+def write_malformed(path, name, keys, value):
+    doc = load_fixture(name)
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("name, keys, value", MALFORMED, ids=["/".join(map(str, m[1])) for m in MALFORMED])
+def test_malformed_document_is_schema_error(capsys, tmp_path, name, keys, value):
+    path = write_malformed(tmp_path / "bad.json", name, keys, value)
+    code, out, err = run_main(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error: /")
+    assert "Traceback" not in err
+
+
+def test_malformed_document_does_not_end_the_batch(capsys, tmp_path):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_malformed(batch / "a.json", *MALFORMED[0])
+    (batch / "b.json").write_text(json.dumps(load_fixture("two_origins.json")))
+    code, out, err = run_main(capsys, "verify", str(batch), "--samples", "3")
+    assert code == 2
+    assert "a.json: exit 2" in out and "b.json: exit 0" in out
+
+
 def test_referential_error_has_pointer(capsys, tmp_path):
-    doc = json.loads(open(fixture("two_origins.json")).read())
+    doc = load_fixture("two_origins.json")
     doc["overlaps"]["0,1"]["space"] = "ghost"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -98,7 +159,7 @@ def test_empty_file_is_schema_error(capsys, tmp_path):
 
 
 def test_invalid_gluing_data_fails_verification(capsys, tmp_path):
-    doc = json.loads(open(fixture("two_origins.json")).read())
+    doc = load_fixture("two_origins.json")
     # make the two transitions fail to be mutually inverse by breaking one
     # into a constant map on a two-point overlap: here the overlap is a
     # single point, so instead cross the attaching maps to break condition c

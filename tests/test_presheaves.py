@@ -54,10 +54,13 @@ def test_broken_composition_names_chain():
 
 def test_fixture_presheaf_parses_and_validates():
     import json
+    import os
 
     from gluekit import jsonio
 
-    doc = json.load(open("fixtures/two_origins_sheaf.json"))
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "two_origins_sheaf.json")
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
     payload = jsonio.parse_document(doc)
     for chart in payload["data"].sheaves:
         assert ps.functoriality_failures(chart) == []

@@ -1,10 +1,13 @@
+import json
 import random
 
 import pytest
 
 from gluekit import abgroups as ab
+from gluekit import cli
 from gluekit import fintop as ft
 from gluekit import generators as gen
+from gluekit import jsonio
 from gluekit import presheaves as ps
 from gluekit import rings as rg
 from gluekit import ringedglue as rgl
@@ -228,6 +231,35 @@ def test_lrts_rejects_non_local_chart():
     assert rgl.validate_ringed_functor(g2)["ok"]
     glued = rgl.glue_ringed(g2)
     assert glued.space.ring(glued.space.top.full()).order == 6
+
+
+def test_glue_ringed_alone_rejects_invalid_data():
+    with pytest.raises(ValidationError, match="invalid ringed gluing data"):
+        rgl.glue_ringed(two_origins_ringed(base_ring=rg.zmod(6), variant="lrts"))
+
+
+def verify_ringed_document(tmp_path, capsys, g):
+    path = tmp_path / "ringed.json"
+    path.write_text(json.dumps(jsonio.ringed_functor_to_document(g)))
+    code = cli.main(["verify", str(path)])
+    return code, capsys.readouterr()
+
+
+def test_invalid_ringed_document_fails_verification(tmp_path, capsys):
+    code, captured = verify_ringed_document(tmp_path, capsys, two_origins_ringed(rg.zmod(6), "lrts"))
+    assert code == 1
+    report = json.loads(captured.out)
+    assert report["conditions"] == {"data_valid": False} and report["verdict"] is False
+
+
+def test_refusal_of_valid_ringed_data_is_input_error(tmp_path, capsys, monkeypatch):
+    def refuse(g):
+        raise ValidationError("glued sections too large to enumerate")
+
+    monkeypatch.setattr(rgl, "glue_ringed", refuse)
+    code, captured = verify_ringed_document(tmp_path, capsys, two_origins_ringed())
+    assert code == 2
+    assert "too large" in captured.err
 
 
 def test_sch_variant_unsupported():
