@@ -226,16 +226,14 @@ def test_lrts_rejects_non_local_chart():
     report = rgl.validate_ringed_functor(g)
     assert not report["ok"]
     assert report["locality"]
+    # glue_ringed validates on its own
+    with pytest.raises(ValidationError, match="invalid ringed gluing data"):
+        rgl.glue_ringed(g)
     # as plain rts the same data is fine
     g2 = two_origins_ringed(base_ring=rg.zmod(6), variant="rts")
     assert rgl.validate_ringed_functor(g2)["ok"]
     glued = rgl.glue_ringed(g2)
     assert glued.space.ring(glued.space.top.full()).order == 6
-
-
-def test_glue_ringed_alone_rejects_invalid_data():
-    with pytest.raises(ValidationError, match="invalid ringed gluing data"):
-        rgl.glue_ringed(two_origins_ringed(base_ring=rg.zmod(6), variant="lrts"))
 
 
 def verify_ringed_document(tmp_path, capsys, g):
