@@ -17,7 +17,7 @@ from . import intlinalg as il
 from . import presheaves as ps
 from . import topglue as tg
 from .fintop import ContinuousMap, FinSpace
-from .indexcat import Eta, EtaT, IdxObj, Tau, TauT, enumerate_objects, pair, single, triple
+from .indexcat import EtaT, Tau, TauT, pair
 
 
 def random_space(rng: random.Random, max_points: int = 5, max_opens: int | None = None) -> FinSpace:
@@ -216,8 +216,6 @@ def random_sheaf_data(rng: random.Random, max_points: int = 4, max_charts: int =
 
     Returns (base, cover, sheaves, transitions, base_group).
     """
-    from . import sheafglue as sg
-
     space = random_space(rng, max_points, max_opens=24)
     cover = random_open_cover(rng, space, max_charts)
     base_group = ab.free_group(rng.randint(1, max_rank))

@@ -63,17 +63,18 @@ def parse_document(doc: dict) -> dict:
     if kind not in KINDS:
         _fail("/kind", f"unknown kind {kind!r}")
     variant = doc.get("variant")
-    if kind == "top" and variant not in VARIANTS["top"]:
-        _fail("/variant", f"top documents need variant 'top' or 'otop', got {variant!r}")
-    if kind == "ringed" and variant not in VARIANTS["ringed"]:
-        _fail("/variant", f"ringed documents need variant 'rts', 'lrts' or 'sch', got {variant!r}")
+    if variant not in VARIANTS[kind]:
+        _fail("/variant", f"variant {variant!r} does not apply to {kind} documents")
+    members = "cover" if kind == "sheaf" else "charts"
+    if members in doc and not doc[members]:
+        _fail(f"/{members}", "the index set must be non-empty")
     parse = {"top": _parse_top, "sheaf": _parse_sheaf, "ringed": _parse_ringed}[kind]
     try:
         data = parse(doc)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         # a value of the wrong JSON type somewhere below the top level
         _fail("/", f"malformed {kind} document: {type(exc).__name__}: {exc}")
-    return {"kind": kind, "variant": None if kind == "sheaf" else variant, "data": data}
+    return {"kind": kind, "variant": variant, "data": data}
 
 
 def _parse_top(doc) -> tg.TopGluingData:

@@ -625,7 +625,6 @@ def induced_sheaf_functor(g: RingedGluingFunctor, glued: GluedRinged | None = No
     """Push each chart sheaf forward onto its image in the glued space and
     package the transitions as an abelian-group sheaf gluing functor over
     the image cover; the result passes the sheaf-glue validator."""
-    from . import abgroups as ab
     from . import presheaves as ps
     from . import sheafglue as sg
 

@@ -10,7 +10,9 @@ overlap identifications and carries the final topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations, product as iproduct
+from operator import countOf, itemgetter
 
 from . import fintop as ft
 from .errors import FalsificationError, ValidationError
@@ -25,13 +27,13 @@ from .indexcat import (
     check_generator_relations,
     enumerate_objects,
     generator_path,
-    generators,
     pair,
     single,
     triple,
 )
 
 TripleKey = tuple[int, frozenset[int]]
+Square = tuple[int, int, tuple[int, ...]]
 
 
 @dataclass
@@ -66,12 +68,6 @@ class TopGluingFunctor:
     objects: dict[IdxObj, FinSpace]
     arrows: dict[Generator, ContinuousMap]
 
-    def obj(self, a: IdxObj) -> FinSpace:
-        return self.objects[a]
-
-    def gen_image(self, g: Generator) -> ContinuousMap:
-        return self.arrows[g]
-
     def arrow_image(self, a: IdxObj, b: IdxObj) -> ContinuousMap:
         """Plain-map side of the unique morphism a -> b: a continuous map
         from the space at b to the space at a."""
@@ -84,6 +80,42 @@ class TopGluingFunctor:
         for g in path[1:]:
             img = ft.compose(img, self.arrows[g])
         return img
+
+    @cached_property
+    def cone_squares(self) -> tuple[tuple[Square, ...] | None, ...] | ValidationError:
+        """Per cone characterization of ``is_cone``, its squares (b, a, m):
+        the leg at b must equal the leg at a after m, the assignment of the
+        plain map from the space at b to the space at a, objects given by
+        their positions in ``enumerate_objects``.  Built once per functor.
+        A characterization with a square whose domain is not the space at b
+        is None (no legs satisfy it); arrows that do not compose give their
+        ValidationError instead."""
+        objs = enumerate_objects(self.n)
+        index = {a: k for k, a in enumerate(objs)}
+
+        def square(b: IdxObj, a: IdxObj, m: ContinuousMap) -> Square | None:
+            # the identity at a has the domain of every leg at a, so this
+            # raises exactly where composing such a leg with m would
+            m = ft.compose(ft.identity_map(self.objects[a]), m)
+            return (index[b], index[a], m.assign) if m.dom == self.objects[b] else None
+
+        try:
+            # the identity squares (a == b) hold for every family of legs
+            first = [square(b, a, self.arrow_image(a, b)) for a in objs for b in objs
+                     if a != b and generator_path(self.n, a, b) is not None]
+            second, third, both = [], [], []
+            for i, j in permutations(range(self.n), 2):
+                tau = self.arrows[Tau(i, j)]
+                second.append(square(pair(i, j), pair(j, i), tau))
+                third.append(square(pair(i, j), single(j), ft.compose(self.arrows[Eta(j, i)], tau)))
+                both.append(square(pair(i, j), single(i), self.arrows[Eta(i, j)]))
+            for i, rest in _triple_keys(self.n):
+                j, k = sorted(rest)
+                both += (square(triple(i, j, k), pair(i, via), self.arrows[EtaT(i, via, other)])
+                         for via, other in ((j, k), (k, j)))
+        except ValidationError as exc:
+            return exc
+        return tuple(None if None in sq else tuple(sq) for sq in (first, second + both, third + both))
 
 
 @dataclass
@@ -257,13 +289,17 @@ def standard_representative(g: TopGluingFunctor) -> GluedSpace:
     return GluedSpace(q, iota, frozenset(pairs), proj, tuple(injections))
 
 
-def _legs_match_endpoints(g: TopGluingFunctor, apex: FinSpace, legs) -> None:
+def _legs_match_endpoints(g: TopGluingFunctor, apex: FinSpace, legs) -> list[ContinuousMap]:
+    """The legs in ``enumerate_objects`` order, checked to run from their objects to the apex."""
+    ordered = []
     for a in enumerate_objects(g.n):
         leg = legs.get(a)
         if leg is None:
             raise ValidationError(f"missing leg at {a}")
         if leg.dom != g.objects[a] or leg.cod != apex:
             raise ValidationError(f"leg at {a} has wrong endpoints")
+        ordered.append(leg)
+    return ordered
 
 
 def is_cone(apex: FinSpace, legs: dict[IdxObj, ContinuousMap], g: TopGluingFunctor) -> tuple[bool, bool, bool]:
@@ -272,39 +308,20 @@ def is_cone(apex: FinSpace, legs: dict[IdxObj, ContinuousMap], g: TopGluingFunct
     (1) every morphism of the index category commutes with the legs;
     (2) the transition, attaching and triple-inclusion squares commute;
     (3) like (2) with the transition square replaced by its composite form.
+    Their squares come from ``g.cone_squares``, built once per functor.
     They provably coincide; a disagreement is raised as falsification.
     """
-    _legs_match_endpoints(g, apex, legs)
-    objs = enumerate_objects(g.n)
-    first = True
-    for a in objs:
-        for b in objs:
-            if generator_path(g.n, a, b) is None:
-                continue
-            if legs[b] != ft.compose(legs[a], g.arrow_image(a, b)):
-                first = False
-    second = True
-    third = True
-    for i, j in permutations(range(g.n), 2):
-        if legs[pair(i, j)] != ft.compose(legs[pair(j, i)], g.arrows[Tau(i, j)]):
-            second = False
-        twisted = ft.compose(g.arrows[Eta(j, i)], g.arrows[Tau(i, j)])
-        if legs[pair(i, j)] != ft.compose(legs[single(j)], twisted):
-            third = False
-        if legs[pair(i, j)] != ft.compose(legs[single(i)], g.arrows[Eta(i, j)]):
-            second = False
-            third = False
-    for i, j, k in permutations(range(g.n), 3):
-        if j < k:
-            t = triple(i, j, k)
-            for via, other in ((j, k), (k, j)):
-                if legs[t] != ft.compose(legs[pair(i, via)], g.arrows[EtaT(i, via, other)]):
-                    second = False
-                    third = False
+    assign = [leg.assign for leg in _legs_match_endpoints(g, apex, legs)]
+    table = g.cone_squares
+    if isinstance(table, ValidationError):
+        raise ValidationError(*table.args)
+    first, second, third = (
+        squares is not None
+        and all(assign[b] == tuple(map(assign[a].__getitem__, m)) for b, a, m in squares)
+        for squares in table
+    )
     if not (first == second == third):
-        raise FalsificationError(
-            f"cone characterizations disagree: {(first, second, third)}"
-        )
+        raise FalsificationError(f"cone characterizations disagree: {(first, second, third)}")
     return first, second, third
 
 
@@ -411,44 +428,28 @@ def count_mediating_functions(cone: TopCone, glued: GluedSpace, g: TopGluingFunc
     """Number of point functions from the glued space to the apex commuting
     with every chart leg.
 
-    Small instances are enumerated literally; larger ones are counted from
-    the per-point constraint sets, which describes the same set of
-    functions.
+    The chart legs are flattened once into the glued-space positions they
+    constrain and the apex values wanted there.  Up to ``exhaustive_limit``
+    functions are all enumerated, each tested with one comparison against
+    the wanted values; more are counted from the per-point constraint
+    sets, which describes the same set of functions.
     """
     q = glued.space
     napex = cone.apex.n
+    positions = [p for i in range(g.n) for p in glued.iota[single(i)].assign]
+    wanted = [v for i in range(g.n) for v in cone.legs[single(i)].assign]
     total = napex ** q.n if q.n else 1
     if 0 < total <= exhaustive_limit and napex > 0:
-        count = 0
-        for assign in iproduct(range(napex), repeat=q.n):
-            ok = True
-            for i in range(g.n):
-                leg = cone.legs[single(i)]
-                chart_iota = glued.iota[single(i)]
-                for x in range(g.objects[single(i)].n):
-                    if assign[chart_iota(x)] != leg(x):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                count += 1
-        return count
+        # itemgetter of one position returns the value, not a 1-tuple
+        pick = itemgetter(*positions) if positions else lambda assign: ()
+        want = wanted[0] if len(wanted) == 1 else tuple(wanted)
+        return countOf(map(pick, iproduct(range(napex), repeat=q.n)), want)
     allowed: list[set[int]] = [set() for _ in range(q.n)]
-    constrained = [False] * q.n
-    for i in range(g.n):
-        leg = cone.legs[single(i)]
-        chart_iota = glued.iota[single(i)]
-        for x in range(g.objects[single(i)].n):
-            allowed[chart_iota(x)].add(leg(x))
-            constrained[chart_iota(x)] = True
-    count = 1
-    for p in range(q.n):
-        if not constrained[p]:
-            count *= napex
-        elif len(allowed[p]) != 1:
-            return 0
-    return count
+    for p, v in zip(positions, wanted):
+        allowed[p].add(v)
+    if any(len(values) > 1 for values in allowed):
+        return 0
+    return napex ** sum(not values for values in allowed)
 
 
 def cover_functor(space: FinSpace, cover) -> tuple[TopGluingFunctor, dict[IdxObj, ContinuousMap]]:

@@ -102,6 +102,36 @@ def test_variant_override_must_belong_to_the_kind(capsys, name, variant, expecte
         assert json.loads(out)["variant"] == variant
 
 
+def test_sheaf_document_variant_must_belong_to_the_kind(capsys, tmp_path):
+    doc = load_fixture("two_origins_sheaf.json")
+    doc["variant"] = "lrts"
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error: /variant:")
+
+
+# (fixture, members indexed by the charts): the first names the charts
+NO_CHARTS = [
+    ("two_origins.json", ("charts", "spaces", "overlaps", "transitions", "triples")),
+    ("two_origins_ringed.json", ("charts", "overlaps", "transitions")),
+    ("two_origins_sheaf.json", ("cover", "sheaves", "transitions")),
+]
+
+
+@pytest.mark.parametrize("name, members", NO_CHARTS, ids=[m[0] for m in NO_CHARTS])
+def test_document_without_charts_is_schema_error(capsys, tmp_path, name, members):
+    doc = load_fixture(name)
+    for key in members:
+        doc[key] = type(doc[key])()
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith(f"error: /{members[0]}:")
+
+
 # (fixture, key path, value): each puts a value of the wrong JSON type into a fixture
 MALFORMED = [
     ("two_origins.json", ("spaces",), []),

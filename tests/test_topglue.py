@@ -1,4 +1,6 @@
+import collections
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -6,7 +8,7 @@ from gluekit import fintop as ft
 from gluekit import generators as gen
 from gluekit import topglue as tg
 from gluekit.errors import FalsificationError, ValidationError
-from gluekit.indexcat import Eta, EtaT, Tau, pair, single, triple
+from gluekit.indexcat import Eta, EtaT, Tau, enumerate_objects, generator_path, pair, single, triple
 
 S = ft.sierpinski()
 
@@ -142,6 +144,93 @@ def test_is_cone_agreement_on_random_and_corrupted():
     assert agreements == 120
 
 
+def reference_is_cone(apex, legs, g):
+    """is_cone morphism by morphism: every arrow image composed and every
+    map compared whole, on each call."""
+    tg._legs_match_endpoints(g, apex, legs)
+    objs = enumerate_objects(g.n)
+    first = True
+    for a in objs:
+        for b in objs:
+            if generator_path(g.n, a, b) is None:
+                continue
+            if legs[b] != ft.compose(legs[a], g.arrow_image(a, b)):
+                first = False
+    second = True
+    third = True
+    for i, j in permutations(range(g.n), 2):
+        if legs[pair(i, j)] != ft.compose(legs[pair(j, i)], g.arrows[Tau(i, j)]):
+            second = False
+        twisted = ft.compose(g.arrows[Eta(j, i)], g.arrows[Tau(i, j)])
+        if legs[pair(i, j)] != ft.compose(legs[single(j)], twisted):
+            third = False
+        if legs[pair(i, j)] != ft.compose(legs[single(i)], g.arrows[Eta(i, j)]):
+            second = False
+            third = False
+    for i, j, k in permutations(range(g.n), 3):
+        if j < k:
+            t = triple(i, j, k)
+            for via, other in ((j, k), (k, j)):
+                if legs[t] != ft.compose(legs[pair(i, via)], g.arrows[EtaT(i, via, other)]):
+                    second = False
+                    third = False
+    if not (first == second == third):
+        raise FalsificationError(f"cone characterizations disagree: {(first, second, third)}")
+    return first, second, third
+
+
+def cone_outcome(check, apex, legs, g):
+    try:
+        return check(apex, legs, g)
+    except (ValidationError, FalsificationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def with_foreign_domain(g, gen_key):
+    """g with the arrow at gen_key moved onto a different space of the same
+    size, so its domain no longer is the object it should start from."""
+    old = g.arrows[gen_key]
+    other = ft.indiscrete_space(old.dom.n)
+    if other == old.dom:
+        other = ft.discrete_space(old.dom.n)
+    arrows = dict(g.arrows)
+    arrows[gen_key] = ft.ContinuousMap(other, old.cod, old.assign)
+    return tg.TopGluingFunctor(g.n, g.open_variant, g.objects, arrows)
+
+
+def test_is_cone_matches_reference_on_seeded_cones():
+    rng = random.Random(41)
+    compared = 0
+    outcomes = collections.Counter()
+    while compared < 1000:
+        g = gen.random_top_functor(rng)
+        rep = tg.standard_representative(g)
+        for _ in range(5):
+            cone = gen.random_cone(rng, g, rep)
+            bad = gen.corrupt_cone_legs(rng, g, cone)
+            for c in (cone, bad):
+                assert tg.is_cone(c.apex, c.legs, g) == reference_is_cone(c.apex, c.legs, g)
+                compared += 1
+        # legs whose endpoints belong to another functor
+        other = gen.random_top_functor(rng)
+        other_cone = gen.random_cone(rng, other, tg.standard_representative(other))
+        if other.n >= g.n and any(other.objects[a] != g.objects[a] for a in g.objects):
+            for check in (tg.is_cone, reference_is_cone):
+                with pytest.raises(ValidationError, match="wrong endpoints"):
+                    check(other_cone.apex, other_cone.legs, g)
+        # arrows whose domains are not their objects: where they still
+        # compose, no legs satisfy the squares through them; where they do
+        # not, both raise, on every call
+        for gen_key in g.arrows:
+            if g.arrows[gen_key].dom.n >= 2:
+                broken = with_foreign_domain(g, gen_key)
+                expected = cone_outcome(reference_is_cone, cone.apex, cone.legs, broken)
+                outcomes[expected[0]] += 1
+                for _ in range(2):
+                    assert cone_outcome(tg.is_cone, cone.apex, cone.legs, broken) == expected
+    assert outcomes[False] and outcomes["ValidationError"]
+
+
 def test_verify_glued_indiscrete_candidate():
     g = tg.functor_from_data(two_origins_data())
     rep = tg.standard_representative(g)
@@ -218,6 +307,61 @@ def test_mediating_on_random_cones():
             assert ft.compose(mu, rep.iota[single(i)]) == cone.legs[single(i)]
         assert ft.is_continuous(mu)
         assert tg.count_mediating_functions(cone, rep, g) == 1
+
+
+def reference_count(cone, glued, g):
+    """count_mediating_functions by its definition: every function from the
+    glued space to the apex, tested against every chart point."""
+    count = 0
+    for assign in product(range(cone.apex.n), repeat=glued.space.n):
+        count += all(
+            assign[glued.iota[single(i)](x)] == cone.legs[single(i)](x)
+            for i in range(g.n)
+            for x in range(g.objects[single(i)].n)
+        )
+    return count
+
+
+def with_disagreeing_chart(rng, cone, glued, g):
+    """The cone with one chart-leg value changed at a glued point that has
+    two chart representatives, so they disagree; None if there is none."""
+    reps: dict[int, list[tuple[int, int]]] = {}
+    for i in range(g.n):
+        for x, p in enumerate(glued.iota[single(i)].assign):
+            reps.setdefault(p, []).append((i, x))
+    shared = [r for p, r in sorted(reps.items()) if len(r) >= 2]
+    if not shared or cone.apex.n < 2:
+        return None
+    i, x = rng.choice(shared)[-1]
+    leg = cone.legs[single(i)]
+    assign = list(leg.assign)
+    assign[x] = (assign[x] + rng.randrange(1, cone.apex.n)) % cone.apex.n
+    legs = dict(cone.legs)
+    legs[single(i)] = ft.ContinuousMap(leg.dom, leg.cod, tuple(assign))
+    return tg.TopCone(cone.apex, legs)
+
+
+def test_count_matches_reference_on_seeded_cones():
+    rng = random.Random(43)
+    compared = disagreeing = 0
+    while compared < 1000:
+        g = gen.random_top_functor(rng, max_points=4)
+        rep = tg.standard_representative(g)
+        for _ in range(5):
+            cone = gen.random_cone(rng, g, rep)
+            if cone.apex.n ** rep.space.n > 4000:
+                continue
+            for c in (cone, gen.corrupt_cone_legs(rng, g, cone)):
+                assert tg.count_mediating_functions(c, rep, g) == reference_count(c, rep, g) == 1
+                assert tg.count_mediating_functions(c, rep, g, exhaustive_limit=0) == 1
+                compared += 1
+            bad = with_disagreeing_chart(rng, cone, rep, g)
+            if bad is not None:
+                assert reference_count(bad, rep, g) == 0
+                assert tg.count_mediating_functions(bad, rep, g) == 0
+                assert tg.count_mediating_functions(bad, rep, g, exhaustive_limit=0) == 0
+                disagreeing += 1
+    assert disagreeing >= 100
 
 
 def test_overlap_and_triple_image_laws_on_random_instances():
