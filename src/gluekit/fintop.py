@@ -1,15 +1,17 @@
-"""Finite topological spaces with explicit open-set lattices.
+"""Finite topological spaces as specialization preorders.
 
-Points are 0..n-1 and every topological predicate is an exact finite check
-over the stored opens.  Quotients carry the final topology, fiber products
-the initial one, and pullback squares are decided by comparing against the
-standard fiber product through an explicit comparison map.
+Points are 0..n-1 and a space stores the minimal open of each point; the
+opens are exactly their unions, so continuity is monotonicity and every
+construction works on the minimal opens.  Quotients carry the final
+topology, fiber products the initial one, and pullback squares are decided
+against the standard fiber product through an explicit comparison map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product as iproduct
+from functools import cached_property
+from itertools import combinations
 
 from .errors import ValidationError
 
@@ -19,26 +21,30 @@ Open = frozenset[int]
 @dataclass(frozen=True)
 class FinSpace:
     n: int
-    opens: frozenset[Open]
+    minimal: tuple[Open, ...]
 
-    def points(self) -> range:
-        return range(self.n)
+    @cached_property
+    def opens(self) -> frozenset[Open]:
+        """Every open set: the unions of minimal opens, built point by point."""
+        opens = {frozenset()}
+        for ux in self.minimal:
+            opens |= {o | ux for o in opens}
+        return frozenset(opens)
 
     def full(self) -> Open:
         return frozenset(range(self.n))
-
-    def is_open(self, s) -> bool:
-        return frozenset(s) in self.opens
 
     def sorted_opens(self) -> list[Open]:
         return sorted(self.opens, key=lambda o: (len(o), sorted(o)))
 
     def __repr__(self):
-        return f"FinSpace({self.n}, {len(self.opens)} opens)"
+        return f"FinSpace({self.n}, minimal={[sorted(ux) for ux in self.minimal]})"
 
 
 def make_space(n: int, opens) -> FinSpace:
-    """Validated space; errors name the missing or offending set."""
+    """Validated space; errors name the missing or offending set.  The family
+    is a topology iff it holds every minimal open and each ``o | minimal[x]``.
+    """
     if n < 0:
         raise ValidationError("point count must be non-negative")
     fam = {frozenset(o) for o in opens}
@@ -50,68 +56,56 @@ def make_space(n: int, opens) -> FinSpace:
         raise ValidationError("empty set missing from the opens")
     if full not in fam:
         raise ValidationError("full set missing from the opens")
-    for a in fam:
-        for b in fam:
-            if a | b not in fam:
-                raise ValidationError(f"union {sorted(a | b)} missing from the opens")
-            if a & b not in fam:
-                raise ValidationError(f"intersection {sorted(a & b)} missing from the opens")
-    return FinSpace(n, frozenset(fam))
+    minimal = _minimal_opens(n, fam)
+    for ux in minimal:
+        if ux not in fam:
+            raise ValidationError(f"intersection {sorted(ux)} missing from the opens")
+    for o in fam:
+        for ux in minimal:
+            if o | ux not in fam:
+                raise ValidationError(f"union {sorted(o | ux)} missing from the opens")
+    return FinSpace(n, minimal)
+
+
+def _minimal_opens(n: int, family) -> tuple[Open, ...]:
+    """For each point, the intersection of the family's members containing it."""
+    minimal = [frozenset(range(n))] * n
+    for o in family:
+        for x in o:
+            minimal[x] = minimal[x] & o
+    return tuple(minimal)
 
 
 def discrete_space(n: int) -> FinSpace:
-    opens = [frozenset(s) for s in _powerset(range(n))]
-    return FinSpace(n, frozenset(opens))
+    return FinSpace(n, tuple(frozenset({x}) for x in range(n)))
 
 
 def indiscrete_space(n: int) -> FinSpace:
-    return FinSpace(n, frozenset({frozenset(), frozenset(range(n))}))
+    return FinSpace(n, (frozenset(range(n)),) * n)
 
 
 def sierpinski() -> FinSpace:
     """Two points; {0} open, {1} closed."""
-    return FinSpace(2, frozenset({frozenset(), frozenset({0}), frozenset({0, 1})}))
+    return FinSpace(2, (frozenset({0}), frozenset({0, 1})))
 
 
 def point_space() -> FinSpace:
-    return FinSpace(1, frozenset({frozenset(), frozenset({0})}))
+    return discrete_space(1)
 
 
 def empty_space() -> FinSpace:
-    return FinSpace(0, frozenset({frozenset()}))
-
-
-def _powerset(items):
-    items = list(items)
-    for mask in range(1 << len(items)):
-        yield {items[k] for k in range(len(items)) if mask >> k & 1}
+    return FinSpace(0, ())
 
 
 def close_family(n: int, seed_opens) -> FinSpace:
-    """Smallest topology containing the seed family."""
-    fam = {frozenset(o) for o in seed_opens}
-    fam.add(frozenset())
-    fam.add(frozenset(range(n)))
-    changed = True
-    while changed:
-        changed = False
-        current = list(fam)
-        for a in current:
-            for b in current:
-                for c in (a | b, a & b):
-                    if c not in fam:
-                        fam.add(c)
-                        changed = True
-    return FinSpace(n, frozenset(fam))
+    """Smallest topology containing the seed family: the minimal open of a
+    point is the intersection of the seeds that contain it."""
+    return FinSpace(n, _minimal_opens(n, {frozenset(o) for o in seed_opens}))
 
 
 def minimal_open(space: FinSpace, x: int) -> Open:
     """Intersection of all opens containing x (open in a finite space)."""
-    out = space.full()
-    for o in space.opens:
-        if x in o:
-            out &= o
-    return out
+    return space.minimal[x]
 
 
 def _irredundant_covers(space: FinSpace, v: Open, max_size: int = 3):
@@ -205,11 +199,18 @@ def make_map(dom: FinSpace, cod: FinSpace, assign, require_open: bool = False) -
 
 
 def is_continuous(f: ContinuousMap) -> bool:
-    return all(f.preimage_of(o) in f.dom.opens for o in f.cod.opens)
+    """Monotone for the specialization preorders: f maps each minimal open
+    into the minimal open of the image point."""
+    cod = f.cod.minimal
+    return all(f.image_of(ux) <= cod[f.assign[x]] for x, ux in enumerate(f.dom.minimal))
 
 
 def is_open_map(f: ContinuousMap) -> bool:
-    return all(f.image_of(o) in f.cod.opens for o in f.dom.opens)
+    """The image of each minimal open is open, i.e. holds the minimal open
+    of each of its points."""
+    cod = f.cod.minimal
+    images = [f.image_of(ux) for ux in f.dom.minimal]
+    return all(cod[y] <= image for image in images for y in image)
 
 
 def identity_map(space: FinSpace) -> ContinuousMap:
@@ -252,8 +253,8 @@ def subspace(space: FinSpace, pointset) -> FinSpace:
         if not 0 <= p < space.n:
             raise ValidationError(f"point {p} not in the space")
     local = {p: k for k, p in enumerate(pts)}
-    opens = {frozenset(local[p] for p in (o & frozenset(pts))) for o in space.opens}
-    return FinSpace(len(pts), frozenset(opens))
+    minimal = [frozenset(local[y] for y in space.minimal[p] if y in local) for p in pts]
+    return FinSpace(len(pts), tuple(minimal))
 
 
 def subspace_with_inclusion(space: FinSpace, pointset) -> tuple[FinSpace, ContinuousMap]:
@@ -264,23 +265,15 @@ def subspace_with_inclusion(space: FinSpace, pointset) -> tuple[FinSpace, Contin
 
 
 def coproduct(spaces) -> tuple[FinSpace, list[ContinuousMap]]:
-    """Disjoint union; opens are one open choice per summand, united."""
+    """Disjoint union; the minimal opens of the summands, shifted."""
     spaces = list(spaces)
     offsets = []
-    total = 0
+    minimal = []
     for s in spaces:
-        offsets.append(total)
-        total += s.n
-    open_choices = [s.sorted_opens() for s in spaces]
-    opens = set()
-    for choice in iproduct(*open_choices) if spaces else [()]:
-        u = set()
-        for off, o in zip(offsets, choice):
-            u |= {off + p for p in o}
-        opens.add(frozenset(u))
-    if not spaces:
-        opens = {frozenset()}
-    space = FinSpace(total, frozenset(opens))
+        off = len(minimal)
+        offsets.append(off)
+        minimal.extend(frozenset(off + y for y in ux) for ux in s.minimal)
+    space = FinSpace(len(minimal), tuple(minimal))
     injections = [
         ContinuousMap(s, space, tuple(off + p for p in range(s.n)))
         for s, off in zip(spaces, offsets)
@@ -329,20 +322,32 @@ def quotient_final(space: FinSpace, pairs) -> tuple[FinSpace, ContinuousMap]:
     """Quotient by the closure of an arbitrary relation, with the final
     topology: a class set is open iff its preimage is open."""
     classes = equivalence_closure(space.n, pairs)
-    cls_of = {}
+    cls_of = [0] * space.n
     for k, c in enumerate(classes):
         for p in c:
             cls_of[p] = k
-    m = len(classes)
-    opens = set()
-    for mask in range(1 << m):
-        w = {k for k in range(m) if mask >> k & 1}
-        pre = frozenset(p for p in range(space.n) if cls_of[p] in w)
-        if pre in space.opens:
-            opens.add(frozenset(w))
-    q = FinSpace(m, frozenset(opens))
-    proj = ContinuousMap(space, q, tuple(cls_of[p] for p in range(space.n)))
-    return q, proj
+    q = _final_topology(len(classes), [(space, cls_of)])
+    return q, ContinuousMap(space, q, tuple(cls_of))
+
+
+def _final_topology(n: int, maps) -> FinSpace:
+    """Final topology on n points for (domain, assignment) maps into them: the
+    minimal open of z is everything reachable from z along the steps
+    f(x) -> f(y) for y in the minimal open of x."""
+    succ = [set() for _ in range(n)]
+    for dom, assign in maps:
+        for x, ux in enumerate(dom.minimal):
+            succ[assign[x]].update(assign[y] for y in ux)
+    minimal = []
+    for z in range(n):
+        seen = {z}
+        stack = [z]
+        while stack:
+            for w in succ[stack.pop()] - seen:
+                seen.add(w)
+                stack.append(w)
+        minimal.append(frozenset(seen))
+    return FinSpace(n, tuple(minimal))
 
 
 def fiber_product(f: ContinuousMap, g: ContinuousMap) -> tuple[FinSpace, ContinuousMap, ContinuousMap]:
@@ -352,13 +357,8 @@ def fiber_product(f: ContinuousMap, g: ContinuousMap) -> tuple[FinSpace, Continu
         raise ValidationError("fiber product needs a common codomain")
     pts = [(a, b) for a in range(f.dom.n) for b in range(g.dom.n) if f.assign[a] == g.assign[b]]
     index = {p: k for k, p in enumerate(pts)}
-    n = len(pts)
-    seed = set()
-    for o in f.dom.opens:
-        seed.add(frozenset(index[(a, b)] for (a, b) in pts if a in o))
-    for o in g.dom.opens:
-        seed.add(frozenset(index[(a, b)] for (a, b) in pts if b in o))
-    space = close_family(n, seed)
+    boxes = ([(x, y) for x in f.dom.minimal[a] for y in g.dom.minimal[b]] for a, b in pts)
+    space = FinSpace(len(pts), tuple(frozenset(index[p] for p in box if p in index) for box in boxes))
     p1 = ContinuousMap(space, f.dom, tuple(a for (a, b) in pts))
     p2 = ContinuousMap(space, g.dom, tuple(b for (a, b) in pts))
     return space, p1, p2
@@ -391,12 +391,6 @@ def is_pullback_square(p1, p2, f, g) -> bool:
     except ValidationError:
         return False
     return is_homeomorphism(comparison)
-
-
-def is_pushout_in_opposite(p1, p2, f, g) -> bool:
-    """The same square read in the opposite category: pushouts there are
-    exactly pullbacks here."""
-    return is_pullback_square(p1, p2, f, g)
 
 
 def space_to_json(space: FinSpace) -> dict:
@@ -432,7 +426,7 @@ def specialization_dot(space: FinSpace, name: str = "space") -> str:
         lines.append(f'    p{p} [label="{p}"];')
     for x in range(space.n):
         for y in range(space.n):
-            if x != y and all(y in o for o in space.opens if x in o):
+            if x != y and y in space.minimal[x]:
                 lines.append(f"    p{x} -> p{y};")
     lines.append("}")
     return "\n".join(lines)

@@ -49,8 +49,7 @@ def relabeled_copy(rng: random.Random, space: FinSpace) -> tuple[FinSpace, Conti
     inv = [0] * space.n
     for new, old in enumerate(perm):
         inv[old] = new
-    opens = frozenset(frozenset(inv[p] for p in o) for o in space.opens)
-    copy = FinSpace(space.n, opens)
+    copy = FinSpace(space.n, tuple(frozenset(inv[p] for p in space.minimal[old]) for old in perm))
     back = ContinuousMap(copy, space, tuple(perm))
     return copy, back
 
@@ -316,21 +315,14 @@ def random_ringed_functor(rng: random.Random, variant: str = "lrts", max_points:
     amb = []  # chart point -> base point
     for c in cover:
         restricted, pts = rgl.restrict_ringed(global_ringed, c)
-        perm = list(range(restricted.top.n))
-        rng.shuffle(perm)
-        inv = [0] * len(perm)
-        for new, old in enumerate(perm):
-            inv[old] = new
-        relabel = lambda o, inv=inv: frozenset(inv[p] for p in o)
-        top = ft.FinSpace(
-            restricted.top.n, frozenset(relabel(o) for o in restricted.top.opens)
-        )
+        top, back = relabeled_copy(rng, restricted.top)
+        relabel = back.preimage_of  # a set of old labels, in the copy's labels
         sections = {relabel(o): restricted.ring(o) for o in restricted.top.opens}
         restr = {
             (relabel(u), relabel(v)): h for (u, v), h in restricted.restr.items()
         }
         charts.append(rgl.RingedSpace(top, sections, restr))
-        amb.append([pts[perm[k]] for k in range(len(perm))])
+        amb.append([pts[old] for old in back.assign])
     n = len(cover)
     overlaps = {}
     trans_top = {}

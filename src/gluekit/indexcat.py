@@ -94,14 +94,6 @@ def canonicalize(raw: tuple[int, ...], n: int | None = None) -> IdxObj:
 
 
 @dataclass(frozen=True)
-class Morphism:
-    """The unique arrow dom -> cod; equality is equality of endpoints."""
-
-    dom: IdxObj
-    cod: IdxObj
-
-
-@dataclass(frozen=True)
 class Eta:
     i: int
     j: int
@@ -225,10 +217,6 @@ def enumerate_category(n: int, max_n: int = DEFAULT_MAX_INDEX) -> GluingIndexCat
                     edges.add((a, c))
                     changed = True
     return GluingIndexCategory(n, tuple(objs), frozenset(edges))
-
-
-def hom_exists(cat: GluingIndexCategory, a: IdxObj, b: IdxObj) -> bool:
-    return cat.hom_exists(a, b)
 
 
 @lru_cache(maxsize=None)

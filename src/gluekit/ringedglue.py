@@ -369,8 +369,12 @@ def _validate(g: RingedGluingFunctor) -> tuple[dict, tg.TopGluingFunctor | None]
                 continue
             if not rg.is_ring_hom(h):
                 report["transports"].append(f"transport ({i},{j}) at {sorted(w)} is not a ring hom")
-        if report["transports"]:
-            continue
+    if report["transports"]:
+        return report, None
+    # every transport is now present and typed, including the (j, i) ones
+    # that the inverse check below reads
+    for i, j in permutations(range(n), 2):
+        opens = opens_below(g.charts[i].top, g.overlaps[(i, j)])
         for w in opens:
             for w2 in opens:
                 if not w2 <= w or w2 == w:

@@ -32,12 +32,6 @@ class FinCommRing:
     def elements(self) -> range:
         return range(self.order)
 
-    def neg(self, a: int) -> int:
-        for b in self.elements():
-            if self.add[a][b] == self.zero:
-                return b
-        raise ValidationError("element without additive inverse")
-
     def __repr__(self):
         return f"FinCommRing(order={self.order})"
 

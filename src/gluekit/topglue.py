@@ -357,17 +357,8 @@ def verify_glued(q: FinSpace, iota: dict[IdxObj, ContinuousMap], g: TopGluingFun
         and (not g.open_variant or ft.is_open_map(iota[single(i)]))
         for i in range(g.n)
     )
-    final_ok = True
-    for mask in range(1 << q.n):
-        w = frozenset(p for p in range(q.n) if mask >> p & 1)
-        preimages_open = all(
-            iota[single(i)].preimage_of(w) in g.objects[single(i)].opens
-            for i in range(g.n)
-        )
-        if preimages_open != (w in q.opens):
-            final_ok = False
-            break
-    cond["final_topology"] = final_ok
+    chart_legs = [iota[single(i)] for i in range(g.n)]
+    cond["final_topology"] = q == ft._final_topology(q.n, [(f.dom, f.assign) for f in chart_legs])
     overlap_ok = True
     for i, j in permutations(range(g.n), 2):
         lhs = iota[single(i)].image_of(

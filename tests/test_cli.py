@@ -1,10 +1,20 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
+import time
+import traceback
+from functools import reduce
+from operator import getitem
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gluekit import cli
 from gluekit import fintop as ft
+from gluekit import jsonio
+from gluekit import topglue as tg
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -56,6 +66,19 @@ def test_all_fixture_kinds_verify(capsys):
         code, out, err = run_main(capsys, "verify", fixture(name))
         assert code == 0, (name, err)
         assert json.loads(out)["verdict"] is True
+
+
+def test_24_point_chain_verifies_within_a_second(capsys, tmp_path):
+    n = 24
+    chain = ft.make_space(n, [range(m) for m in range(n + 1)])
+    g, _ = tg.cover_functor(chain, [chain.full(), frozenset(range(n - 1))])
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(jsonio.top_data_to_document(tg.data_from_functor(g))))
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, "verify", str(path))
+    assert code == 0, err
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(out)["conditions"]["final_topology"]
 
 
 def test_index_command_and_dot(capsys, tmp_path):
@@ -206,6 +229,18 @@ def test_invalid_gluing_data_fails_verification(capsys, tmp_path):
     assert report["verdict"] is False
 
 
+def test_ringed_document_missing_a_reverse_transport_fails_verification(capsys, tmp_path):
+    # the (0,1) laws read the (1,0) transport, so its absence must be
+    # reported before they run
+    doc = load_fixture("two_origins_ringed.json")
+    del doc["transitions"]["1,0"]["sections"]["0"]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main(capsys, "verify", str(path))
+    assert code == 1, err
+    assert json.loads(out)["conditions"]["data_valid"] is False
+
+
 def test_reports_are_deterministic(capsys):
     code1, out1, _ = run_main(capsys, "verify", fixture("two_origins_sheaf.json"))
     code2, out2, _ = run_main(capsys, "verify", fixture("two_origins_sheaf.json"))
@@ -253,3 +288,82 @@ def test_report_subcommand(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["verdict"] is True
+
+
+FIXTURE_NAMES = sorted(n for n in os.listdir(FIXTURES) if n.endswith(".json"))
+# seconds one mutated fixture may take through ``glue verify``; the
+# unmutated fixtures take well under a second each
+FUZZ_SECONDS = 10.0
+# a value of each JSON type, to replace a node of another type
+OTHER_TYPES = [None, True, 0, 0.5, "x", [], {}]
+
+
+def _node_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture with one node mutated: the node deleted, replaced by a
+    value of another JSON type, a number moved by at most 3, a string
+    renamed, a list truncated, or a point toggled in an open.  Numbers move
+    only a little because a point count or group rank is the size of the
+    structure the parser builds."""
+    name = draw(st.sampled_from(FIXTURE_NAMES))
+    doc = load_fixture(name)
+    *head, key = draw(st.sampled_from(list(_node_paths(doc))[1:]))
+    parent = reduce(getitem, head, doc)
+    node = parent[key]
+    kinds = ["delete", "retype"]
+    if isinstance(node, int) and not isinstance(node, bool):
+        kinds.append("number")
+    if isinstance(node, str):
+        kinds.append("string")
+    if isinstance(node, list) and node:
+        kinds.append("truncate")
+    if "opens" in head and isinstance(node, list) and all(isinstance(p, int) for p in node):
+        kinds.append("toggle_point")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "delete":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(node)]))
+    elif kind == "number":
+        parent[key] = node + draw(st.integers(-3, 3).filter(bool))
+    elif kind == "string":
+        parent[key] = draw(st.sampled_from(["", node + "x", "s0", "r1", "0,1", "lrts"]).filter(lambda v: v != node))
+    elif kind == "truncate":
+        parent[key] = node[: draw(st.integers(0, len(node) - 1))]
+    else:
+        parent[key] = sorted(set(node) ^ {draw(st.integers(0, 3))})
+    return name, head + [key], kind, doc
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=mutated_fixtures())
+def test_mutated_fixture_keeps_the_exit_code_contract(case):
+    """Any one-node mutation of a fixture exits 0, 1 or 2, prints no
+    traceback and finishes within FUZZ_SECONDS."""
+    name, path, kind, doc = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        file = os.path.join(tmp, name)
+        with open(file, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(["verify", file])
+            except Exception:  # an escaping exception is the traceback the contract forbids
+                code, trace = None, traceback.format_exc()
+            else:
+                trace = ""
+        elapsed = time.perf_counter() - start
+    where = f"{name} {kind} at /{'/'.join(map(str, path))}"
+    assert code in (0, 1, 2), f"{where}: exit {code}\n{trace}{err.getvalue()}"
+    assert "Traceback" not in err.getvalue(), where
+    assert elapsed < FUZZ_SECONDS, f"{where}: {elapsed:.1f} s"

@@ -28,6 +28,12 @@ def test_make_space_validation():
         ft.make_space(1, [[0]])
 
 
+def test_make_space_names_a_missing_intersection():
+    # {0, 1} & {1, 2} is missing while every union is present
+    with pytest.raises(ValidationError, match=r"intersection \[1\]"):
+        ft.make_space(3, [[], [0, 1], [1, 2], [0, 1, 2]])
+
+
 def test_continuity_and_openness():
     ident = ft.identity_map(S)
     assert ft.is_continuous(ident) and ft.is_open_map(ident)
@@ -184,7 +190,6 @@ def test_is_pullback_square_examples():
     to_u = ft.make_map(inter, u, [0])
     to_v = ft.make_map(inter, v, [0])
     assert ft.is_pullback_square(to_u, to_v, iu, iv)
-    assert ft.is_pushout_in_opposite(to_u, to_v, iu, iv)
     # apex a proper subspace: comparison not surjective
     fp, p1, p2 = ft.fiber_product(ft.identity_map(S), ft.identity_map(S))
     sub, si = ft.subspace_with_inclusion(fp, [0])
@@ -265,3 +270,212 @@ def test_minimal_open_and_components():
     comps = ft.components_of_open(disc, frozenset({0, 2}))
     assert comps == [frozenset({0}), frozenset({2})]
     assert ft.components_of_open(S, frozenset({0, 1})) == [frozenset({0, 1})]
+
+
+# Reference implementations on explicit open lattices.  A lattice is a pair
+# (n, opens); these are the algorithms gluekit used before it stored one
+# minimal open per point, kept as oracles for the preorder constructions.
+
+INSTANCES = 1000
+
+
+def subsets(n):
+    for mask in range(1 << n):
+        yield frozenset(p for p in range(n) if mask >> p & 1)
+
+
+def ref_make_space(n, family):
+    """The opens when the family is a topology on n points (pairwise
+    closure under union and intersection), else None."""
+    fam = {frozenset(o) for o in family}
+    full = frozenset(range(n))
+    if not all(o <= full for o in fam) or frozenset() not in fam or full not in fam:
+        return None
+    if any(a | b not in fam or a & b not in fam for a in fam for b in fam):
+        return None
+    return frozenset(fam)
+
+
+def ref_close_family(n, seeds):
+    """Fixpoint of pairwise unions and intersections."""
+    fam = {frozenset(o) for o in seeds} | {frozenset(), frozenset(range(n))}
+    changed = True
+    while changed:
+        changed = False
+        current = list(fam)
+        for a in current:
+            for b in current:
+                for c in (a | b, a & b):
+                    if c not in fam:
+                        fam.add(c)
+                        changed = True
+    return frozenset(fam)
+
+
+def ref_coproduct(lattices):
+    """One open of each summand, shifted and united."""
+    offsets, total = [], 0
+    for n, _ in lattices:
+        offsets.append(total)
+        total += n
+    opens = set()
+    for choice in iproduct(*(opens for _, opens in lattices)):
+        opens.add(frozenset(off + p for off, o in zip(offsets, choice) for p in o))
+    return total, frozenset(opens)
+
+
+def ref_subspace(lattice, pts):
+    """The traces ``o & pts``, renumbered in sorted order."""
+    pts = sorted(pts)
+    local = {p: k for k, p in enumerate(pts)}
+    return len(pts), frozenset(frozenset(local[p] for p in o if p in local) for o in lattice[1])
+
+
+def ref_fiber_product(a, fa, b, gb):
+    """Matching pairs, topologized by closing the projection preimages."""
+    pts = [(x, y) for x in range(a[0]) for y in range(b[0]) if fa[x] == gb[y]]
+    seeds = [frozenset(k for k, (x, _) in enumerate(pts) if x in o) for o in a[1]]
+    seeds += [frozenset(k for k, (_, y) in enumerate(pts) if y in o) for o in b[1]]
+    return len(pts), ref_close_family(len(pts), seeds)
+
+
+def ref_quotient_final(lattice, classes):
+    """Every class set whose preimage is open."""
+    opens = set()
+    for w in subsets(len(classes)):
+        if frozenset().union(*(classes[k] for k in w)) in lattice[1]:
+            opens.add(w)
+    return len(classes), frozenset(opens)
+
+
+def ref_is_continuous(dom, cod, assign):
+    return all(frozenset(x for x in range(dom[0]) if assign[x] in o) in dom[1] for o in cod[1])
+
+
+def ref_is_open_map(dom, cod, assign):
+    return all(frozenset(assign[x] for x in o) in cod[1] for o in dom[1])
+
+
+def random_subset(rng, n):
+    return {p for p in range(n) if rng.random() < 0.5}
+
+
+def random_lattice(rng, max_points=4, min_points=1):
+    n = rng.randint(min_points, max_points)
+    return n, ref_close_family(n, [random_subset(rng, n) for _ in range(rng.randint(0, n + 1))])
+
+
+def space_of(lattice):
+    return ft.make_space(*lattice)
+
+
+def lattice_of(space):
+    return space.n, space.opens
+
+
+def test_make_space_matches_pairwise_reference():
+    rng = random.Random(101)
+    verdicts = {True: 0, False: 0}
+    for _ in range(INSTANCES):
+        n, opens = random_lattice(rng)
+        family = set(opens)
+        style = rng.randrange(4)
+        if style == 1 and len(family) > 2:
+            family.discard(rng.choice(sorted(family - {frozenset(), frozenset(range(n))}, key=sorted)))
+        elif style == 2:
+            family.add(frozenset(random_subset(rng, n)))
+        elif style == 3:
+            family = {frozenset(random_subset(rng, n)) for _ in range(rng.randint(1, 6))}
+        expected = ref_make_space(n, family)
+        try:
+            got = ft.make_space(n, family).opens
+        except ValidationError:
+            got = None
+        assert got == expected, (n, sorted(map(sorted, family)))
+        verdicts[expected is not None] += 1
+    assert min(verdicts.values()) >= 200, verdicts
+
+
+def test_close_family_matches_fixpoint_reference():
+    rng = random.Random(102)
+    for _ in range(INSTANCES):
+        n = rng.randint(0, 5)
+        seeds = [random_subset(rng, n) for _ in range(rng.randint(0, n + 2))]
+        space = ft.close_family(n, seeds)
+        assert (space.n, space.opens) == (n, ref_close_family(n, seeds))
+
+
+def test_opens_are_the_down_sets_of_the_preorder():
+    rng = random.Random(103)
+    for _ in range(INSTANCES):
+        n = rng.randint(0, 6)
+        below = [{x} | {y for y in range(n) if rng.random() < 0.3} for x in range(n)]
+        changed = True
+        while changed:  # transitive closure of the random relation
+            changed = False
+            for x in range(n):
+                for y in list(below[x]):
+                    if not below[y] <= below[x]:
+                        below[x] |= below[y]
+                        changed = True
+        space = ft.FinSpace(n, tuple(frozenset(b) for b in below))
+        down_sets = {w for w in subsets(n) if all(below[x] <= w for x in w)}
+        assert space.opens == down_sets
+
+
+def test_coproduct_matches_lattice_product_reference():
+    rng = random.Random(104)
+    for _ in range(INSTANCES):
+        lattices = [random_lattice(rng, 3, 0) for _ in range(rng.randint(0, 3))]
+        space, injections = ft.coproduct([space_of(l) for l in lattices])
+        assert lattice_of(space) == ref_coproduct(lattices)
+        assert [inj.dom.n for inj in injections] == [n for n, _ in lattices]
+
+
+def test_subspace_matches_trace_reference():
+    rng = random.Random(105)
+    for _ in range(INSTANCES):
+        lattice = random_lattice(rng, 5)
+        pts = random_subset(rng, lattice[0])
+        assert lattice_of(ft.subspace(space_of(lattice), pts)) == ref_subspace(lattice, pts)
+
+
+def test_fiber_product_matches_seed_closure_reference():
+    rng = random.Random(106)
+    for _ in range(INSTANCES):
+        a, b, c = (random_lattice(rng, 3) for _ in range(3))
+        fa = tuple(rng.randrange(c[0]) for _ in range(a[0]))
+        gb = tuple(rng.randrange(c[0]) for _ in range(b[0]))
+        cs = space_of(c)
+        f = ft.ContinuousMap(space_of(a), cs, fa)
+        g = ft.ContinuousMap(space_of(b), cs, gb)
+        fp, p1, p2 = ft.fiber_product(f, g)
+        assert lattice_of(fp) == ref_fiber_product(a, fa, b, gb)
+        assert list(zip(p1.assign, p2.assign)) == [
+            (x, y) for x in range(a[0]) for y in range(b[0]) if fa[x] == gb[y]
+        ]
+
+
+def test_quotient_final_matches_subset_sweep_reference():
+    rng = random.Random(107)
+    for _ in range(INSTANCES):
+        lattice = random_lattice(rng, 5)
+        n = lattice[0]
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+        q, proj = ft.quotient_final(space_of(lattice), pairs)
+        classes = ft.equivalence_closure(n, pairs)
+        assert lattice_of(q) == ref_quotient_final(lattice, classes)
+        assert all(p in classes[proj(p)] for p in range(n))
+
+
+def test_continuity_and_openness_match_preimage_and_image_references():
+    rng = random.Random(108)
+    seen = set()
+    for _ in range(INSTANCES):
+        dom, cod = random_lattice(rng, 4), random_lattice(rng, 3)
+        assign = tuple(rng.randrange(cod[0]) for _ in range(dom[0]))
+        f = ft.ContinuousMap(space_of(dom), space_of(cod), assign)
+        verdict = (ref_is_continuous(dom, cod, assign), ref_is_open_map(dom, cod, assign))
+        assert (ft.is_continuous(f), ft.is_open_map(f)) == verdict
+        seen.add(verdict)
+    assert len(seen) == 4

@@ -261,6 +261,38 @@ def test_plain_variant_surfaces_final_topology_separately():
     assert not report["final_topology"]  # and the divergence is reported
 
 
+def reference_final_topology(q, iota, g):
+    """The literal sweep: a subset of the glued points is open in q iff
+    every chart leg pulls it back to an open."""
+    for mask in range(1 << q.n):
+        w = frozenset(p for p in range(q.n) if mask >> p & 1)
+        preimages_open = all(
+            iota[single(i)].preimage_of(w) in g.objects[single(i)].opens for i in range(g.n)
+        )
+        if preimages_open != (w in q.opens):
+            return False
+    return True
+
+
+def test_final_topology_matches_subset_sweep_reference():
+    rng = random.Random(31)
+    outcomes = collections.Counter()
+    for _ in range(1000):
+        g = gen.random_top_functor(rng, max_points=5)
+        rep = tg.standard_representative(g)
+        q = rep.space
+        opens = q.sorted_opens()
+        coarser = ft.close_family(q.n, [o for o in opens if rng.random() < 0.5])
+        finer = ft.close_family(q.n, opens + [{p for p in range(q.n) if rng.random() < 0.5}])
+        for candidate in (q, coarser, finer):
+            iota = {a: ft.ContinuousMap(m.dom, candidate, m.assign) for a, m in rep.iota.items()}
+            expected = reference_final_topology(candidate, iota, g)
+            assert tg.verify_glued(candidate, iota, g)["final_topology"] == expected
+            outcomes[candidate is q, expected] += 1
+    assert outcomes[True, True] == 1000
+    assert outcomes[False, False] >= 300 and outcomes[False, True] >= 300, outcomes
+
+
 def test_cover_functor_verifies_and_counts_objects():
     # 3-open cover of a 4-point space: 3 + 6 + 3 canonical objects
     x = ft.make_space(4, [[], [0], [1], [0, 1], [0, 2], [0, 1, 2], [0, 1, 3], [0, 1, 2, 3]])
