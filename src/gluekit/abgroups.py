@@ -16,6 +16,9 @@ from .errors import ValidationError
 Matrix = il.Matrix
 Vector = il.Vector
 
+# entries kept by the presentation cache, so a long batch stays bounded in memory
+_PRESENTATION_CACHE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class FgAbGroup:
@@ -69,7 +72,7 @@ def group_from_invariants(free_rank: int, torsion=()) -> FgAbGroup:
     return make_group(m, rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PRESENTATION_CACHE_SIZE)
 def _presentation_snf(ambient: int, relations: Matrix):
     if not relations:
         relations = tuple(() for _ in range(ambient))

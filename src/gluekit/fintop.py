@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 from .errors import ValidationError
 
@@ -108,29 +107,17 @@ def minimal_open(space: FinSpace, x: int) -> Open:
     return space.minimal[x]
 
 
-def _irredundant_covers(space: FinSpace, v: Open, max_size: int = 3):
-    """Candidate covers of the open v, as the sheaf checks use them: the
-    minimal-open cover of v, then every irredundant cover of v by at most
-    ``max_size`` nonempty opens."""
-    minimal = []
-    seen = set()
-    for x in sorted(v):
-        ux = minimal_open(space, x)
-        if ux not in seen:
-            seen.add(ux)
-            minimal.append(ux)
-    yield tuple(minimal)
-    candidates = [o for o in space.sorted_opens() if o and o <= v]
-    for size in range(1, max_size + 1):
-        for combo in combinations(candidates, size):
-            if frozenset().union(*combo) != v:
-                continue
-            if size > 1 and any(
-                combo[i] <= frozenset().union(*(combo[:i] + combo[i + 1:]))
-                for i in range(size)
-            ):
-                continue
-            yield combo
+def minimal_cover(space: FinSpace, v: Open) -> tuple[Open, ...]:
+    """The one cover of v on which the sheaf axioms are decided: the maximal
+    minimal opens U_x for x in v, ordered by their points.
+
+    It decides them exactly: U_x lies in every open containing x, so it
+    refines every cover of v, and a presheaf satisfying the axioms on the
+    minimal cover of each open satisfies them on every cover (McCord 1966).
+    A single member is v itself, a minimal open, where they hold trivially.
+    """
+    opens = {space.minimal[x] for x in v}
+    return tuple(sorted((u for u in opens if not any(u < w for w in opens)), key=sorted))
 
 
 def components_of_open(space: FinSpace, v: Open) -> list[frozenset[int]]:

@@ -26,6 +26,9 @@ from .errors import ValidationError
 
 DEFAULT_MAX_INDEX = 6
 
+# entries kept by the generator_path cache, so a long batch stays bounded in memory
+_PATH_CACHE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class IdxObj:
@@ -219,7 +222,7 @@ def enumerate_category(n: int, max_n: int = DEFAULT_MAX_INDEX) -> GluingIndexCat
     return GluingIndexCategory(n, tuple(objs), frozenset(edges))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PATH_CACHE_SIZE)
 def generator_path(n: int, a: IdxObj, b: IdxObj) -> tuple[Generator, ...] | None:
     """A shortest chain of generators from a to b, or None; () when a == b."""
     if a == b:

@@ -11,6 +11,9 @@ from functools import lru_cache
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
+# entries kept by the snf cache, so a long batch stays bounded in memory
+_SNF_CACHE_SIZE = 4096
+
 
 def freeze(rows) -> Matrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
@@ -104,7 +107,7 @@ def is_unimodular(a: Matrix) -> bool:
     return m == n and det(a) in (1, -1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SNF_CACHE_SIZE)
 def snf(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form: returns (U, S, V) with U*a*V = S.
 

@@ -32,7 +32,7 @@ def open_key(o) -> str:
     return ",".join(str(p) for p in sorted(o))
 
 
-def parse_open_key(key: str, pointer: str = "") -> frozenset[int]:
+def parse_open_key(key: str, pointer: str) -> frozenset[int]:
     if key == "":
         return frozenset()
     try:
@@ -299,7 +299,8 @@ def _parse_ringed(doc) -> rgl.RingedGluingFunctor:
             if ">" not in key:
                 _fail(f"/charts/{i}/restrictions/{key}", "key must look like 'U>V'")
             ukey, vkey = key.split(">", 1)
-            u, v = parse_open_key(ukey), parse_open_key(vkey)
+            u = parse_open_key(ukey, f"/charts/{i}/restrictions/{key}")
+            v = parse_open_key(vkey, f"/charts/{i}/restrictions/{key}")
             if u not in sections or v not in sections:
                 _fail(f"/charts/{i}/restrictions/{key}", "unknown open")
             try:

@@ -2,8 +2,9 @@
 
 A presheaf lives on an open ``domain`` of an ambient space and stores one
 group per open below the domain together with every restriction hom.  The
-sheaf condition is decided through equalizers: for each checked cover the
-canonical map into the compatible-family subgroup must be an isomorphism.
+sheaf condition is decided through equalizers on one cover per open, its
+minimal cover: the canonical map into the compatible-family subgroup must
+be an isomorphism.
 
 Convention: sections over the empty set form the trivial group.
 """
@@ -11,11 +12,10 @@ Convention: sections over the empty set form the trivial group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import abgroups as ab
 from .errors import ValidationError
-from .fintop import FinSpace, Open, _irredundant_covers, components_of_open
+from .fintop import FinSpace, Open, components_of_open, minimal_cover
 
 RestrKey = tuple[Open, Open]
 
@@ -123,40 +123,13 @@ def _stack_homs(parts: list[ab.AbHom], dom: ab.FgAbGroup, cod_product: ab.FgAbGr
 def sheaf_condition_on_cover(f: Presheaf, v: Open, cover) -> tuple[bool, bool]:
     """(identity axiom, gluing axiom) for one open and one cover of it."""
     cover = [frozenset(c) for c in cover]
-    fv = f.group(v)
-    part_groups = [f.group(c) for c in cover]
-    p_prod, _, _ = ab.product(part_groups)
-    r = _stack_homs([f.res(v, c) for c in cover], fv, p_prod)
-    pairs = [(a, b) for a in range(len(cover)) for b in range(len(cover)) if a < b]
-    inter_groups = [f.group(cover[a] & cover[b]) for a, b in pairs]
-    d_prod, _, _ = ab.product(inter_groups)
-    proj_parts = []
-    offsets = []
-    off = 0
-    for g in part_groups:
-        offsets.append(off)
-        off += g.ambient
-    first_parts, second_parts = [], []
-    for a, b in pairs:
-        inter = cover[a] & cover[b]
-        pa = ab.AbHom(
-            p_prod,
-            part_groups[a],
-            tuple(
-                tuple(1 if j == offsets[a] + i else 0 for j in range(p_prod.ambient))
-                for i in range(part_groups[a].ambient)
-            ),
-        )
-        pb = ab.AbHom(
-            p_prod,
-            part_groups[b],
-            tuple(
-                tuple(1 if j == offsets[b] + i else 0 for j in range(p_prod.ambient))
-                for i in range(part_groups[b].ambient)
-            ),
-        )
-        first_parts.append(ab.compose_hom(f.res(cover[a], inter), pa))
-        second_parts.append(ab.compose_hom(f.res(cover[b], inter), pb))
+    p_prod, proj, _ = ab.product([f.group(c) for c in cover])
+    r = _stack_homs([f.res(v, c) for c in cover], f.group(v), p_prod)
+    n = len(cover)
+    pairs = [(a, b, cover[a] & cover[b]) for a in range(n) for b in range(a + 1, n)]
+    d_prod, _, _ = ab.product([f.group(inter) for _, _, inter in pairs])
+    first_parts = [ab.compose_hom(f.res(cover[a], inter), proj[a]) for a, _, inter in pairs]
+    second_parts = [ab.compose_hom(f.res(cover[b], inter), proj[b]) for _, b, inter in pairs]
     p_hom = _stack_homs(first_parts, p_prod, d_prod)
     q_hom = _stack_homs(second_parts, p_prod, d_prod)
     eq_group, incl = ab.equalizer(p_hom, q_hom)
@@ -166,46 +139,26 @@ def sheaf_condition_on_cover(f: Presheaf, v: Open, cover) -> tuple[bool, bool]:
     return (ab.is_injective(factored), ab.is_surjective(factored))
 
 
-def is_sheaf(f: Presheaf, max_cover_size: int = 3) -> tuple[bool, dict | None]:
-    """Decide the sheaf axioms over the standard cover family.
+def is_sheaf(f: Presheaf) -> tuple[bool, dict | None]:
+    """Decide the sheaf axioms on the minimal cover of each open
+    (``fintop.minimal_cover``), smallest opens first.
 
-    Returns (verdict, certificate).  The certificate names the failing open
-    and cover, or reports a nontrivial group of sections over the empty set
-    as a distinct diagnostic.
+    Returns (verdict, certificate).  The certificate names the failing open,
+    axiom and cover, or reports a nontrivial group of sections over the
+    empty set as a distinct diagnostic.
     """
     empty = frozenset()
     if empty in f.sections and not ab.is_trivial(f.sections[empty]):
         return False, {"axiom": "empty_sections", "open": []}
     for v in f.opens():
-        if not v:
+        cover = minimal_cover(f.space, v)
+        if len(cover) < 2:
             continue
-        for cover in _irredundant_covers(f.space, v, max_cover_size):
-            ident, glue = sheaf_condition_on_cover(f, v, cover)
-            if not ident:
-                return False, {"axiom": "identity", "open": sorted(v), "cover": [sorted(c) for c in cover]}
-            if not glue:
-                return False, {"axiom": "gluing", "open": sorted(v), "cover": [sorted(c) for c in cover]}
+        ident, glue = sheaf_condition_on_cover(f, v, cover)
+        if not (ident and glue):
+            axiom = "gluing" if ident else "identity"
+            return False, {"axiom": axiom, "open": sorted(v), "cover": [sorted(c) for c in cover]}
     return True, None
-
-
-def all_covers_sheaf_check(f: Presheaf) -> bool:
-    """Oracle: the sheaf axioms over every cover of every open, with no size
-    bound.  Exponential; intended for spaces with few opens."""
-    empty = frozenset()
-    if empty in f.sections and not ab.is_trivial(f.sections[empty]):
-        return False
-    for v in f.opens():
-        if not v:
-            continue
-        candidates = [o for o in f.opens() if o and o <= v]
-        for size in range(1, len(candidates) + 1):
-            for combo in combinations(candidates, size):
-                if frozenset().union(*combo) != v:
-                    continue
-                ident, glue = sheaf_condition_on_cover(f, v, combo)
-                if not (ident and glue):
-                    return False
-    return True
 
 
 def locally_constant_sheaf(space: FinSpace, domain, group: ab.FgAbGroup) -> Presheaf:

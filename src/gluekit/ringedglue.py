@@ -19,7 +19,7 @@ from . import fintop as ft
 from . import rings as rg
 from . import topglue as tg
 from .errors import FalsificationError, UnsupportedFeature, ValidationError
-from .fintop import ContinuousMap, FinSpace, Open, _irredundant_covers, minimal_open
+from .fintop import ContinuousMap, FinSpace, Open, minimal_cover, minimal_open
 from .indexcat import pair, single, triple
 from .presheaves import opens_below
 
@@ -87,44 +87,37 @@ def make_ringed_space(top: FinSpace, sections, restr, check_sheaf: bool = True) 
     return space
 
 
-def ring_sheaf_failures(space: RingedSpace, max_cover_size: int = 3) -> list[str]:
-    """Identity and gluing axioms over the standard cover family, decided
-    by direct enumeration of sections."""
-    out = []
-    empty = frozenset()
-    if space.sections[empty].order != 1:
-        out.append("sections over the empty set are not the zero ring")
-        return out
+def ring_sheaf_failures(space: RingedSpace) -> list[str]:
+    """Identity and gluing axioms on the minimal cover of each open
+    (``fintop.minimal_cover``), decided by direct enumeration of sections."""
+    if space.sections[frozenset()].order != 1:
+        return ["sections over the empty set are not the zero ring"]
     for v in space.top.sorted_opens():
-        if not v:
+        cover = minimal_cover(space.top, v)
+        if len(cover) < 2:
             continue
-        for cover in _irredundant_covers(space.top, v, max_cover_size):
-            tuples_seen = {}
-            for s in space.ring(v).elements():
-                key = tuple(space.res(v, c)(s) for c in cover)
-                if key in tuples_seen:
-                    out.append(f"identity axiom fails over {sorted(v)}")
-                    return out
-                tuples_seen[key] = s
-            size = 1
-            for c in cover:
-                size *= space.ring(c).order
-            if size > _SECTION_PRODUCT_CAP:
-                raise ValidationError("cover section product too large to enumerate")
-            for combo in iproduct(*(space.ring(c).elements() for c in cover)):
-                compatible = True
-                for a in range(len(cover)):
-                    for b in range(a + 1, len(cover)):
-                        inter = cover[a] & cover[b]
-                        if space.res(cover[a], inter)(combo[a]) != space.res(cover[b], inter)(combo[b]):
-                            compatible = False
-                            break
-                    if not compatible:
-                        break
-                if compatible and combo not in tuples_seen:
-                    out.append(f"gluing axiom fails over {sorted(v)}")
-                    return out
-    return out
+        restricted = set()
+        for s in space.ring(v).elements():
+            key = tuple(space.res(v, c)(s) for c in cover)
+            if key in restricted:
+                return [f"identity axiom fails over {sorted(v)}"]
+            restricted.add(key)
+        size = 1
+        for c in cover:
+            size *= space.ring(c).order
+        if size > _SECTION_PRODUCT_CAP:
+            raise ValidationError("cover section product too large to enumerate")
+        overlaps = []
+        for a in range(len(cover)):
+            for b in range(a + 1, len(cover)):
+                inter = cover[a] & cover[b]
+                overlaps.append((a, b, space.res(cover[a], inter), space.res(cover[b], inter)))
+        for combo in iproduct(*(space.ring(c).elements() for c in cover)):
+            if combo in restricted:
+                continue
+            if all(ra(combo[a]) == rb(combo[b]) for a, b, ra, rb in overlaps):
+                return [f"gluing axiom fails over {sorted(v)}"]
+    return []
 
 
 def restrict_ringed(space: RingedSpace, v) -> tuple[RingedSpace, list[int]]:

@@ -155,13 +155,15 @@ def test_document_without_charts_is_schema_error(capsys, tmp_path, name, members
     assert err.startswith(f"error: /{members[0]}:")
 
 
-# (fixture, key path, value): each puts a value of the wrong JSON type into a fixture
+# (fixture, key path, value): each puts a value of the wrong JSON type into a
+# fixture, or a restriction under a key that names no open
 MALFORMED = [
     ("two_origins.json", ("spaces",), []),
     ("two_origins.json", ("charts",), 5),
     ("two_origins.json", ("spaces", "s0", "points"), "x"),
     ("two_origins_ringed.json", ("rings", "r0", "one"), "z"),
     ("two_origins_sheaf.json", ("cover", 0), ["a"]),
+    ("two_origins_ringed.json", ("charts", 0, "restrictions", "x>0"), [0, 1, 2, 3]),
 ]
 
 

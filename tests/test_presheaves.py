@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -27,6 +28,86 @@ def constant_presheaf(space, domain, group, empty_trivial=True):
                 else:
                     restrictions[(u, v)] = ab.zero_hom(du, dv)
     return ps.make_presheaf(space, domain, sections, restrictions)
+
+
+def irredundant_covers(space, v, max_size=3):
+    """The bounded cover family: the cover of v by all its minimal opens,
+    then every irredundant cover of v by at most ``max_size`` nonempty opens."""
+    yield tuple(dict.fromkeys(space.minimal[x] for x in sorted(v)))
+    candidates = [o for o in space.sorted_opens() if o and o <= v]
+    for size in range(1, max_size + 1):
+        for combo in combinations(candidates, size):
+            if frozenset().union(*combo) != v:
+                continue
+            if size > 1 and any(
+                combo[i] <= frozenset().union(*(combo[:i] + combo[i + 1:]))
+                for i in range(size)
+            ):
+                continue
+            yield combo
+
+
+def every_cover(space, v):
+    """Every cover of v by nonempty opens; exponential in the opens below v."""
+    candidates = [o for o in space.sorted_opens() if o and o <= v]
+    for size in range(1, len(candidates) + 1):
+        for combo in combinations(candidates, size):
+            if frozenset().union(*combo) == v:
+                yield combo
+
+
+def sheaf_check_on_covers(f, covers):
+    """(verdict, axiom, open) of the first failure over ``covers(space, v)``,
+    opens in ``f.opens()`` order, identity before gluing on each cover."""
+    empty = frozenset()
+    if empty in f.sections and not ab.is_trivial(f.sections[empty]):
+        return False, "empty_sections", []
+    for v in f.opens():
+        if not v:
+            continue
+        for cover in covers(f.space, v):
+            ident, glue = ps.sheaf_condition_on_cover(f, v, cover)
+            if not (ident and glue):
+                return False, "gluing" if ident else "identity", sorted(v)
+    return True, None, None
+
+
+def all_covers_sheaf_check(f):
+    """Oracle: the sheaf axioms over every cover of every open, with no size
+    bound.  Exponential; intended for spaces with few opens."""
+    return sheaf_check_on_covers(f, every_cover)[0]
+
+
+def random_space(rng):
+    """3 to 5 points, at most 16 opens, closed from a few random seed sets."""
+    while True:
+        n = rng.randint(3, 5)
+        seeds = [{p for p in range(n) if rng.random() < 0.5} for _ in range(rng.randint(2, n + 3))]
+        space = ft.close_family(n, seeds)
+        if len(space.opens) <= 16:
+            return space
+
+
+def random_support(rng, space, ground):
+    """A monotone family V -> f(V) of subsets of range(ground): coordinate e
+    lives on the opens that contain one of a few random nonempty opens."""
+    opens = space.sorted_opens()
+    nonempty = [o for o in opens if o]
+    seeds = [rng.sample(nonempty, rng.randint(1, min(3, len(nonempty)))) for _ in range(ground)]
+    return {o: [e for e in range(ground) if any(g <= o for g in seeds[e])] for o in opens}
+
+
+def coordinate_presheaf(space, support):
+    """F(V) = Z^{f(V)}, restrictions the coordinate projections."""
+    opens = space.sorted_opens()
+    sections = {o: ab.free_group(len(support[o])) for o in opens}
+    restrictions = {}
+    for u in opens:
+        for v in opens:
+            if v <= u:
+                rows = [tuple(int(e == d) for d in support[u]) for e in support[v]]
+                restrictions[(u, v)] = ab.AbHom(sections[u], sections[v], tuple(rows))
+    return ps.make_presheaf(space, space.full(), sections, restrictions)
 
 
 def test_constant_presheaf_on_sierpinski_valid():
@@ -104,12 +185,12 @@ def test_bounded_cover_family_agrees_with_all_covers_oracle():
     for space in spaces:
         sheafy = ps.locally_constant_sheaf(space, space.full(), Z)
         assert ps.is_sheaf(sheafy)[0]
-        assert ps.all_covers_sheaf_check(sheafy)
+        assert all_covers_sheaf_check(sheafy)
         # the fully constant presheaf is valid but fails gluing whenever some
         # open is disconnected; both checkers must return the same verdict
         const = constant_presheaf(space, space.full(), Z)
         verdict_fast = ps.is_sheaf(const)[0]
-        verdict_full = ps.all_covers_sheaf_check(const)
+        verdict_full = all_covers_sheaf_check(const)
         assert verdict_fast == verdict_full
         if not verdict_fast:
             seen_fail += 1
@@ -192,3 +273,31 @@ def test_nat_iso_inverse_and_composition():
     both = ps.compose_nat_iso(inv, iso)
     for o in f.opens():
         assert ab.same_hom(both.components[o], ab.id_hom(f.group(o)))
+
+
+def test_minimal_cover_decides_like_the_bounded_family_and_all_covers():
+    rng = random.Random(20)
+    axioms = {"identity": 0, "gluing": 0}
+    oracle_runs = 0
+    for k in range(1000):
+        space = random_space(rng)
+        kind = k % 5
+        if kind < 3:
+            f = coordinate_presheaf(space, random_support(rng, space, rng.randint(1, 3)))
+        elif kind == 3:
+            f = constant_presheaf(space, space.full(), Z)
+        else:
+            f = ps.locally_constant_sheaf(space, space.full(), Z)
+        ok, cert = ps.is_sheaf(f)
+        got = (ok, cert["axiom"], cert["open"]) if cert else (ok, None, None)
+        assert got == sheaf_check_on_covers(f, irredundant_covers), (space, k)
+        if not ok:
+            axioms[cert["axiom"]] += 1
+            assert ft.minimal_cover(space, frozenset(cert["open"])) == tuple(
+                frozenset(c) for c in cert["cover"]
+            )
+        if len(space.opens) <= 7:
+            oracle_runs += 1
+            assert ok == all_covers_sheaf_check(f), (space, k)
+    assert axioms["identity"] >= 100 and axioms["gluing"] >= 100, axioms
+    assert oracle_runs >= 500, oracle_runs

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations, product as iproduct
 
 import pytest
 
@@ -13,6 +14,7 @@ from gluekit import rings as rg
 from gluekit import ringedglue as rgl
 from gluekit import sheafglue as sg
 from gluekit.errors import UnsupportedFeature, ValidationError
+from test_presheaves import every_cover, irredundant_covers, random_space, random_support
 
 S = ft.sierpinski()
 
@@ -33,6 +35,62 @@ def two_origins_ringed(base_ring=None, variant="lrts"):
         {(0, 1): {0: 0}, (1, 0): {0: 0}},
         transports,
     )
+
+
+def ring_failures_on_covers(space, covers):
+    """The ring sheaf axioms over ``covers(space.top, v)`` for each open v,
+    decided by enumeration; the first failure, identity before gluing."""
+    if space.sections[frozenset()].order != 1:
+        return ["sections over the empty set are not the zero ring"]
+    for v in space.top.sorted_opens():
+        if not v:
+            continue
+        for cover in covers(space.top, v):
+            restricted = {tuple(space.res(v, c)(s) for c in cover) for s in space.ring(v).elements()}
+            if len(restricted) < space.ring(v).order:
+                return [f"identity axiom fails over {sorted(v)}"]
+            for combo in iproduct(*(space.ring(c).elements() for c in cover)):
+                if combo not in restricted and all(
+                    space.res(a, a & b)(x) == space.res(b, a & b)(y)
+                    for (a, x), (b, y) in combinations(zip(cover, combo), 2)
+                ):
+                    return [f"gluing axiom fails over {sorted(v)}"]
+    return []
+
+
+def coordinate_ringed(space, support):
+    """F(V) = (Z/2)^{f(V)} as a product ring, restrictions the coordinate
+    projections; unchecked, so that non-sheaves can be built."""
+    rings = {k: rg.product_ring([rg.zmod(2)] * k) for k in {len(c) for c in support.values()}}
+    opens = space.sorted_opens()
+    sections = {o: rings[len(support[o])][0] for o in opens}
+    restr = {}
+    for u in opens:
+        ring_u, proj_u = rings[len(support[u])]
+        for v in opens:
+            if not v <= u:
+                continue
+            ring_v, proj_v = rings[len(support[v])]
+            index_v = {tuple(p[e] for p in proj_v): e for e in ring_v.elements()}
+            keep = [support[u].index(d) for d in support[v]]
+            assign = tuple(index_v[tuple(proj_u[k][e] for k in keep)] for e in ring_u.elements())
+            restr[(u, v)] = rg.RingHom(ring_u, ring_v, assign)
+    return rgl.make_ringed_space(space, sections, restr, check_sheaf=False)
+
+
+def constant_ringed(space, ring):
+    """The ring on every nonempty open with identity restrictions: a sheaf
+    only when every open is connected."""
+    sections = {o: (ring if o else rg.zero_ring()) for o in space.sorted_opens()}
+    restr = {}
+    for u in space.sorted_opens():
+        for v in space.sorted_opens():
+            if v <= u:
+                if sections[u] == sections[v]:
+                    restr[(u, v)] = rg.identity_ring_hom(sections[u])
+                else:
+                    restr[(u, v)] = rg.RingHom(sections[u], sections[v], (0,) * sections[u].order)
+    return rgl.make_ringed_space(space, sections, restr, check_sheaf=False)
 
 
 def test_make_ring_validation():
@@ -331,3 +389,27 @@ def test_random_ringed_instances_executed_laws():
         if variant == "lrts":
             for x in range(glued.space.top.n):
                 assert rg.is_local_ring(rgl.stalk_at(glued.space, x).ring)
+
+
+def test_ring_minimal_cover_decides_like_the_bounded_family_and_all_covers():
+    rng = random.Random(21)
+    axioms = {"identity": 0, "gluing": 0}
+    oracle_runs = 0
+    for k in range(1000):
+        space = random_space(rng)
+        kind = k % 5
+        if kind < 3:
+            ringed = coordinate_ringed(space, random_support(rng, space, rng.randint(1, 3)))
+        elif kind == 3:
+            ringed = constant_ringed(space, rg.zmod(2))
+        else:
+            ringed = gen.locally_constant_ringed(space, rg.zmod(2))
+        got = rgl.ring_sheaf_failures(ringed)
+        assert got == ring_failures_on_covers(ringed, irredundant_covers), (space, k)
+        if got:
+            axioms[got[0].split()[0]] += 1
+        if len(space.opens) <= 6:
+            oracle_runs += 1
+            assert (got == []) == (ring_failures_on_covers(ringed, every_cover) == []), (space, k)
+    assert axioms["identity"] >= 100 and axioms["gluing"] >= 100, axioms
+    assert oracle_runs >= 500, oracle_runs
