@@ -269,9 +269,9 @@ def _cmd_report(args) -> int:
     if args.format == "json":
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        if "glued_space" not in doc:
+        if not isinstance(doc, dict) or "glued_space" not in doc:
             raise ValidationError("artifact file has no glued_space to draw")
-        space = ft.space_from_json(doc["glued_space"])
+        space = jsonio._space(doc["glued_space"], "/glued_space")
         text = ft.specialization_dot(space, "glued") + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -320,7 +320,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedFeature, ValidationError) as exc:
+    except (UnsupportedFeature, ValidationError, OSError) as exc:
+        # OSError: an output path that cannot be written
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
     except FalsificationError as exc:

@@ -2,8 +2,12 @@
 
 Objects are classes of index tuples: singles [i], ordered pairs [i,j] with
 i != j, and triples [i,{j,k}] with an apex and an unordered pair of partners.
-Between any two objects there is at most one morphism; existence is computed
-as the transitive closure of the generating arrows.
+Between any two objects there is at most one morphism, and a -> b exists
+exactly when supp(a) is contained in supp(b).  This module is the one place
+that knows which squares make a family of legs a cone (``cone_squares``) and
+along which generators chart legs extend to the other objects
+(``leg_generators``); each kind of gluing supplies only its own composition
+and equality.
 
 Generator naming (one fixed convention for the several notations in use):
 
@@ -199,27 +203,14 @@ class GluingIndexCategory:
 
 
 def enumerate_category(n: int, max_n: int = DEFAULT_MAX_INDEX) -> GluingIndexCategory:
-    """Objects and the full hom-existence relation, by transitive closure."""
+    """Objects and the full hom-existence relation: support inclusion."""
     if n < 1:
         raise ValidationError("the index set must be non-empty")
     if n > max_n:
         raise ValidationError(f"index set size {n} above the configured bound {max_n}")
     objs = enumerate_objects(n)
-    edges: set[tuple[IdxObj, IdxObj]] = {(a, a) for a in objs}
-    for g in generators(n):
-        edges.add((g.dom, g.cod))
-    changed = True
-    while changed:
-        changed = False
-        by_dom: dict[IdxObj, list[IdxObj]] = {}
-        for a, b in edges:
-            by_dom.setdefault(a, []).append(b)
-        for a, b in list(edges):
-            for c in by_dom.get(b, ()):
-                if (a, c) not in edges:
-                    edges.add((a, c))
-                    changed = True
-    return GluingIndexCategory(n, tuple(objs), frozenset(edges))
+    hom = frozenset((a, b) for a in objs for b in objs if a.support() <= b.support())
+    return GluingIndexCategory(n, tuple(objs), hom)
 
 
 @lru_cache(maxsize=_PATH_CACHE_SIZE)
@@ -243,6 +234,34 @@ def generator_path(n: int, a: IdxObj, b: IdxObj) -> tuple[Generator, ...] | None
                     nxt.append((g.cod, path + (g,)))
         frontier = nxt
     return None
+
+
+def cone_squares(n: int) -> tuple[list[tuple[IdxObj, IdxObj, tuple[Generator, ...]]], ...]:
+    """Per cone characterization, its squares (a, b, chain): a family of
+    legs L is a cone when L_b = L_a after the image of the generator chain
+    from a to b, for every square of the list.
+
+    (1) every morphism a -> b with a != b, along ``generator_path``;
+    (2) every generator except ``TauT``;
+    (3) like (2), with each ``Tau(i, j)`` replaced by the chain
+        ``Eta(j, i), Tau(i, j)`` out of [j].
+    """
+    objs = enumerate_objects(n)
+    first = [(a, b, generator_path(n, a, b)) for a in objs for b in objs
+             if a != b and a.support() <= b.support()]
+    gens = [g for g in generators(n) if not isinstance(g, TauT)]
+    second = [(g.dom, g.cod, (g,)) for g in gens]
+    third = [(single(g.j), g.cod, (Eta(g.j, g.i), g)) if isinstance(g, Tau) else square
+             for g, square in zip(gens, second)]
+    return first, second, third
+
+
+def leg_generators(n: int) -> list[Eta | EtaT]:
+    """``Eta(i, j)`` into each [i,j], then ``EtaT(i, j, k)`` with j < k into
+    each [i,{j,k}]: extending the chart legs along these, in order, gives
+    the leg at every object from a leg already extended."""
+    return ([Eta(i, j) for i, j in permutations(range(n), 2)]
+            + [EtaT(i, j, k) for i, j, k in permutations(range(n), 3) if j < k])
 
 
 # (relation id, maker) pairs; each maker yields (lhs chain, rhs chain) of

@@ -20,7 +20,7 @@ from . import rings as rg
 from . import topglue as tg
 from .errors import FalsificationError, UnsupportedFeature, ValidationError
 from .fintop import ContinuousMap, FinSpace, Open, minimal_cover, minimal_open
-from .indexcat import pair, single, triple
+from .indexcat import leg_generators, single
 from .presheaves import opens_below
 
 VARIANTS = ("rts", "lrts", "sch")
@@ -701,13 +701,8 @@ def verify_ringed_glued(
         glued = glue_ringed(g)
     top_functor = glued.top_functor
     legs = {single(i): top_legs[i] for i in range(g.n)}
-    for i, j in permutations(range(g.n), 2):
-        legs[pair(i, j)] = ft.compose(top_legs[i], top_functor.arrows[tg.Eta(i, j)])
-    for i in range(g.n):
-        for j, k in combinations((x for x in range(g.n) if x != i), 2):
-            legs[triple(i, j, k)] = ft.compose(
-                legs[pair(i, j)], top_functor.arrows[tg.EtaT(i, j, k)]
-            )
+    for arrow in leg_generators(g.n):
+        legs[arrow.cod] = ft.compose(legs[arrow.dom], top_functor.arrows[arrow])
     try:
         report["top_cone"] = all(tg.is_cone(candidate.top, legs, top_functor))
     except ValidationError:

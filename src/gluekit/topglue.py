@@ -25,8 +25,8 @@ from .indexcat import (
     Tau,
     TauT,
     check_generator_relations,
-    enumerate_objects,
-    generator_path,
+    cone_squares,
+    leg_generators,
     pair,
     single,
     triple,
@@ -68,54 +68,31 @@ class TopGluingFunctor:
     objects: dict[IdxObj, FinSpace]
     arrows: dict[Generator, ContinuousMap]
 
-    def arrow_image(self, a: IdxObj, b: IdxObj) -> ContinuousMap:
-        """Plain-map side of the unique morphism a -> b: a continuous map
-        from the space at b to the space at a."""
-        if a == b:
-            return ft.identity_map(self.objects[a])
-        path = generator_path(self.n, a, b)
-        if path is None:
-            raise ValidationError(f"no morphism {a} -> {b}")
-        img = self.arrows[path[0]]
-        for g in path[1:]:
-            img = ft.compose(img, self.arrows[g])
-        return img
-
     @cached_property
     def cone_squares(self) -> tuple[tuple[Square, ...] | None, ...] | ValidationError:
-        """Per cone characterization of ``is_cone``, its squares (b, a, m):
-        the leg at b must equal the leg at a after m, the assignment of the
-        plain map from the space at b to the space at a, objects given by
-        their positions in ``enumerate_objects``.  Built once per functor.
-        A characterization with a square whose domain is not the space at b
-        is None (no legs satisfy it); arrows that do not compose give their
-        ValidationError instead."""
-        objs = enumerate_objects(self.n)
-        index = {a: k for k, a in enumerate(objs)}
+        """Per cone characterization of ``is_cone``, the squares of
+        ``indexcat.cone_squares`` as (b, a, m): the leg at b must equal the
+        leg at a after m, the assignment of the chain's plain map from the
+        space at b to the space at a, objects given by their positions in
+        ``objects``.  Built once per functor.  A characterization with a
+        square whose domain is not the space at b is None (no legs satisfy
+        it); arrows that do not compose give their ValidationError instead."""
+        index = {a: k for k, a in enumerate(self.objects)}
 
-        def square(b: IdxObj, a: IdxObj, m: ContinuousMap) -> Square | None:
-            # the identity at a has the domain of every leg at a, so this
-            # raises exactly where composing such a leg with m would
-            m = ft.compose(ft.identity_map(self.objects[a]), m)
+        def square(a: IdxObj, b: IdxObj, chain: tuple[Generator, ...]) -> Square | None:
+            # starting from the identity at a, which has the domain of every
+            # leg at a, raises exactly where composing such a leg would
+            m = ft.identity_map(self.objects[a])
+            for g in chain:
+                m = ft.compose(m, self.arrows[g])
             return (index[b], index[a], m.assign) if m.dom == self.objects[b] else None
 
         try:
             # the identity squares (a == b) hold for every family of legs
-            first = [square(b, a, self.arrow_image(a, b)) for a in objs for b in objs
-                     if a != b and generator_path(self.n, a, b) is not None]
-            second, third, both = [], [], []
-            for i, j in permutations(range(self.n), 2):
-                tau = self.arrows[Tau(i, j)]
-                second.append(square(pair(i, j), pair(j, i), tau))
-                third.append(square(pair(i, j), single(j), ft.compose(self.arrows[Eta(j, i)], tau)))
-                both.append(square(pair(i, j), single(i), self.arrows[Eta(i, j)]))
-            for i, rest in _triple_keys(self.n):
-                j, k = sorted(rest)
-                both += (square(triple(i, j, k), pair(i, via), self.arrows[EtaT(i, via, other)])
-                         for via, other in ((j, k), (k, j)))
+            table = [[square(*sq) for sq in squares] for squares in cone_squares(self.n)]
         except ValidationError as exc:
             return exc
-        return tuple(None if None in sq else tuple(sq) for sq in (first, second + both, third + both))
+        return tuple(None if None in sq else tuple(sq) for sq in table)
 
 
 @dataclass
@@ -272,12 +249,8 @@ def standard_representative(g: TopGluingFunctor) -> GluedSpace:
     iota: dict[IdxObj, ContinuousMap] = {}
     for i in range(g.n):
         iota[single(i)] = ft.compose(proj, injections[i])
-    for i, j in permutations(range(g.n), 2):
-        iota[pair(i, j)] = ft.compose(iota[single(i)], g.arrows[Eta(i, j)])
-    for key in _triple_keys(g.n):
-        i, rest = key
-        j, k = sorted(rest)
-        iota[triple(i, j, k)] = ft.compose(iota[pair(i, j)], g.arrows[EtaT(i, j, k)])
+    for arrow in leg_generators(g.n):
+        iota[arrow.cod] = ft.compose(iota[arrow.dom], g.arrows[arrow])
     for i in range(g.n):
         leg = iota[single(i)]
         if not ft.is_injective(leg):
@@ -290,13 +263,13 @@ def standard_representative(g: TopGluingFunctor) -> GluedSpace:
 
 
 def _legs_match_endpoints(g: TopGluingFunctor, apex: FinSpace, legs) -> list[ContinuousMap]:
-    """The legs in ``enumerate_objects`` order, checked to run from their objects to the apex."""
+    """The legs in ``g.objects`` order, checked to run from their objects to the apex."""
     ordered = []
-    for a in enumerate_objects(g.n):
+    for a, space in g.objects.items():
         leg = legs.get(a)
         if leg is None:
             raise ValidationError(f"missing leg at {a}")
-        if leg.dom != g.objects[a] or leg.cod != apex:
+        if leg.dom != space or leg.cod != apex:
             raise ValidationError(f"leg at {a} has wrong endpoints")
         ordered.append(leg)
     return ordered
@@ -392,10 +365,11 @@ def mediating_morphism(cone: TopCone, glued: GluedSpace, g: TopGluingFunctor) ->
     """
     q = glued.space
     assign: list[int | None] = [None] * q.n
-    for i in range(g.n):
-        leg = cone.legs[single(i)]
-        chart_iota = glued.iota[single(i)]
-        for x in range(g.objects[single(i)].n):
+    charts = [single(i) for i in range(g.n)]
+    for a in charts:
+        leg = cone.legs[a]
+        chart_iota = glued.iota[a]
+        for x in range(g.objects[a].n):
             target = leg(x)
             pos = chart_iota(x)
             if assign[pos] is None:
@@ -409,9 +383,8 @@ def mediating_morphism(cone: TopCone, glued: GluedSpace, g: TopGluingFunctor) ->
     mu = ContinuousMap(q, cone.apex, tuple(assign))
     if not ft.is_continuous(mu):
         raise FalsificationError("mediating map is not continuous")
-    for i in range(g.n):
-        if ft.compose(mu, glued.iota[single(i)]) != cone.legs[single(i)]:
-            raise FalsificationError("mediating map fails to commute")
+    if any(ft.compose(mu, glued.iota[a]) != cone.legs[a] for a in charts):
+        raise FalsificationError("mediating map fails to commute")
     return mu
 
 
@@ -427,8 +400,9 @@ def count_mediating_functions(cone: TopCone, glued: GluedSpace, g: TopGluingFunc
     """
     q = glued.space
     napex = cone.apex.n
-    positions = [p for i in range(g.n) for p in glued.iota[single(i)].assign]
-    wanted = [v for i in range(g.n) for v in cone.legs[single(i)].assign]
+    charts = [single(i) for i in range(g.n)]
+    positions = [p for a in charts for p in glued.iota[a].assign]
+    wanted = [v for a in charts for v in cone.legs[a].assign]
     total = napex ** q.n if q.n else 1
     if 0 < total <= exhaustive_limit and napex > 0:
         # itemgetter of one position returns the value, not a 1-tuple

@@ -292,6 +292,25 @@ def test_report_subcommand(capsys, tmp_path):
     assert json.loads(out)["verdict"] is True
 
 
+def test_unwritable_outputs_and_bad_artifacts_are_input_errors(capsys, tmp_path):
+    missing_dir = tmp_path / "missing"
+    existing_file = tmp_path / "afile"
+    existing_file.write_text("x\n")
+    no_points = tmp_path / "no_points.json"
+    no_points.write_text(json.dumps({"glued_space": {"opens": [[]]}}))
+    # each case, and a word its error line must name
+    cases = [
+        (("index", "--n", "2", "--dot", str(missing_dir / "x.dot")), "x.dot"),
+        (("verify", fixture("two_origins.json"), "--out", str(missing_dir / "r.json")), "r.json"),
+        (("build", fixture("two_origins.json"), "--out", str(existing_file)), "afile"),
+        (("report", "--in", str(no_points), "--format", "dot"), "/glued_space"),
+    ]
+    for args, named in cases:
+        code, out, err = run_main(capsys, *args)
+        assert code == 2, args
+        assert err.startswith("error: ") and named in err, (args, err)
+
+
 FIXTURE_NAMES = sorted(n for n in os.listdir(FIXTURES) if n.endswith(".json"))
 # seconds one mutated fixture may take through ``glue verify``; the
 # unmutated fixtures take well under a second each

@@ -121,13 +121,36 @@ def _to_obj(key):
 
 
 def test_hom_table_matches_closure_oracle_and_support_formula():
-    for n in (1, 2, 3, 4):
+    for n in range(1, ic.DEFAULT_MAX_INDEX + 1):
         cat = ic.enumerate_category(n)
         oracle = {( _to_obj(a), _to_obj(b)) for a, b in oracle_hom_pairs(n)}
         assert cat.hom == frozenset(oracle)
         for a in cat.objects:
             for b in cat.objects:
                 assert cat.hom_exists(a, b) == (a.support() <= b.support())
+
+
+def test_cone_squares_and_leg_generators():
+    for n in range(1, ic.DEFAULT_MAX_INDEX + 1):
+        gens = ic.generators(n)
+        first, second, third = ic.cone_squares(n)
+        for a, b, chain in first + second + third:
+            # each chain runs from a to b, one generator after the other
+            assert [g.dom for g in chain] == [a] + [g.cod for g in chain[:-1]]
+            assert chain[-1].cod == b
+        oracle = {(_to_obj(a), _to_obj(b)) for a, b in oracle_hom_pairs(n) if a != b}
+        assert len(first) == len(oracle) and {(a, b) for a, b, _ in first} == oracle
+        assert [chain for _, _, chain in second] == [(g,) for g in gens if not isinstance(g, ic.TauT)]
+        assert len(third) == len(second)
+        for (_, _, (g,)), (_, _, chain) in zip(second, third):
+            assert chain == ((ic.Eta(g.j, g.i), g) if isinstance(g, ic.Tau) else (g,))
+        # the leg generators reach every non-single object once, each from
+        # a single or an object reached before it
+        reached = [ic.single(i) for i in range(n)]
+        for g in ic.leg_generators(n):
+            assert g in gens and g.dom in reached and g.cod not in reached
+            reached.append(g.cod)
+        assert sorted(reached, key=repr) == sorted(ic.enumerate_objects(n), key=repr)
 
 
 def test_composition_associative_and_unital():

@@ -8,7 +8,7 @@ from gluekit import generators as gen
 from gluekit import presheaves as ps
 from gluekit import sheafglue as sg
 from gluekit.errors import ValidationError
-from gluekit.indexcat import single
+from gluekit.indexcat import enumerate_objects, generator_path, single
 
 Z = ab.free_group(1)
 
@@ -270,3 +270,90 @@ def test_random_sheaf_roundtrip_and_limits():
         lim = sg.build_limit_sheaf(functor)
         assert ps.is_sheaf(lim.carrier)[0]
         assert sg.verify_sheaf_glued(lim.carrier, lim.legs, functor, lim)["verdict"]
+
+
+# --- oracle: the cone check morphism by morphism --------------------------
+
+def arrow_image(g, a, b):
+    """Image of the unique morphism a -> b, composed along the generator path."""
+    if a == b:
+        return ps.identity_enriched(g.obj(a))
+    path = generator_path(g.n, a, b)
+    if path is None:
+        raise ValidationError(f"no morphism {a} -> {b}")
+    img = g.gen_image(path[0])
+    for arrow in path[1:]:
+        img = ps.compose_enriched(g.gen_image(arrow), img)
+    return img
+
+
+def reference_check_sheaf_cone(apex, legs, g):
+    """Full-diagram cone check: every index-category morphism commutes."""
+    objs = enumerate_objects(g.n)
+    if any(a not in legs for a in objs):
+        return False
+    for a in objs:
+        for b in objs:
+            if generator_path(g.n, a, b) is None:
+                continue
+            composite = ps.compose_enriched(arrow_image(g, a, b), legs[a])
+            if not ps.same_enriched(composite, legs[b]):
+                return False
+    return True
+
+
+def with_one_component_changed(rng, legs, change):
+    """The legs with one component h, chosen among those where change(h)
+    is a different hom, replaced by change(h); unchanged when there is none."""
+    spots = [
+        (a, w)
+        for a, leg in legs.items()
+        for w in sorted(leg.alpha, key=lambda o: (len(o), sorted(o)))
+        if not ab.same_hom(change(leg.alpha[w]), leg.alpha[w])
+    ]
+    if not spots:
+        return legs
+    a, w = rng.choice(spots)
+    leg = legs[a]
+    alpha = dict(leg.alpha)
+    alpha[w] = change(alpha[w])
+    return {**legs, a: ps.EnrichedMorphism(leg.dom, leg.cod, alpha)}
+
+
+def extended_from_charts(g, legs):
+    """The chart legs, with the leg at every other object a composed from
+    the chart leg at its apex along the morphism [apex] -> a."""
+    charts = [legs[single(i)] for i in range(g.n)]
+    return {a: ps.compose_enriched(arrow_image(g, single(a.apex), a), charts[a.apex])
+            for a in enumerate_objects(g.n)}
+
+
+def zeroed(h):
+    return ab.zero_hom(h.dom, h.cod)
+
+
+def test_generator_cone_check_matches_all_morphism_oracle():
+    rng = random.Random(606)
+    non_cones = 0
+    for _ in range(300):
+        base, cover, charts, transitions, _ = gen.random_sheaf_data(rng, max_points=5, max_rank=2)
+        functor = sg.sheaf_functor_from_data(sg.SheafGluingData(base, tuple(cover), charts, transitions))
+        lim = sg.build_limit_sheaf(functor)
+        chart_legs = {single(i): lim.legs[single(i)] for i in range(functor.n)}
+        families = [
+            lim.legs,
+            with_one_component_changed(rng, lim.legs, zeroed),
+            with_one_component_changed(rng, lim.legs, lambda h: ab.scale_hom(2, h)),
+            # commutes with every arrow out of a chart; only the transitions can tell
+            extended_from_charts(functor, with_one_component_changed(rng, chart_legs, zeroed)),
+            # the triple legs still agree among themselves; only the triple inclusions can tell
+            {a: leg if a.kind != "triple" else ps.EnrichedMorphism(
+                leg.dom, leg.cod, {w: ab.scale_hom(2, h) for w, h in leg.alpha.items()})
+             for a, leg in lim.legs.items()},
+        ]
+        for k, legs in enumerate(families):
+            verdict = sg.check_sheaf_cone(lim.carrier, legs, functor)
+            assert verdict == reference_check_sheaf_cone(lim.carrier, legs, functor)
+            assert verdict or k > 0
+            non_cones += not verdict
+    assert non_cones >= 300
