@@ -207,30 +207,33 @@ def _prepare(path: str, variant: str | None) -> dict:
     return payload
 
 
-def _verify_one(path: str, args) -> int:
+def _verify_one(path: str, args, out: str | None) -> int:
     report, artifacts = run_pipeline(_prepare(path, args.variant), _seed(args), args.samples)
-    sys.stdout.write(emit_report(report, args.out))
+    sys.stdout.write(emit_report(report, out))
     sys.stderr.write(f"timings: {json.dumps(artifacts['timings'], sort_keys=True)}\n")
     return EXIT_OK if report["verdict"] else EXIT_VERIFY_FAILED
 
 
 def _cmd_verify(args) -> int:
     if os.path.isdir(args.file):
-        # batch mode: one document per file, worst exit code wins
+        # batch mode: one document per file, worst exit code wins; --out
+        # names a directory that gets each document's report under its name
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
         worst = EXIT_OK
         for name in sorted(os.listdir(args.file)):
             if not name.endswith(".json"):
                 continue
             path = os.path.join(args.file, name)
             try:
-                code = _verify_one(path, args)
+                code = _verify_one(path, args, args.out and os.path.join(args.out, name))
             except (UnsupportedFeature, ValidationError) as exc:
                 sys.stderr.write(f"error: {path}: {exc}\n")
                 code = EXIT_INVALID_INPUT
             sys.stdout.write(f"{name}: exit {code}\n")
             worst = max(worst, code)
         return worst
-    return _verify_one(args.file, args)
+    return _verify_one(args.file, args, args.out)
 
 
 def _cmd_build(args) -> int:
@@ -289,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify a gluing document")
     p_verify.add_argument("file")
-    p_verify.add_argument("--out", default=None, help="write the report JSON here")
+    p_verify.add_argument("--out", default=None, help="write the report JSON here (a directory in batch mode)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_build = sub.add_parser("build", help="verify and write artifacts")

@@ -1,13 +1,12 @@
-"""The gluing index category on a finite index set.
+"""The gluing index category on a finite index set, as one table per n.
 
 Objects are classes of index tuples: singles [i], ordered pairs [i,j] with
 i != j, and triples [i,{j,k}] with an apex and an unordered pair of partners.
 Between any two objects there is at most one morphism, and a -> b exists
-exactly when supp(a) is contained in supp(b).  This module is the one place
-that knows which squares make a family of legs a cone (``cone_squares``) and
-along which generators chart legs extend to the other objects
-(``leg_generators``); each kind of gluing supplies only its own composition
-and equality.
+exactly when supp(a) is contained in supp(b).  ``index_category(n)`` builds
+the one table per n (objects, generators, shortest paths, cone squares and
+leg generators) that every consumer reads; each kind of gluing supplies
+only its own composition and equality.
 
 Generator naming (one fixed convention for the several notations in use):
 
@@ -163,105 +162,86 @@ class TauT:
 
 
 Generator = Eta | Tau | EtaT | TauT
-
-
-def enumerate_objects(n: int) -> list[IdxObj]:
-    objs: list[IdxObj] = [single(i) for i in range(n)]
-    objs += [pair(i, j) for i in range(n) for j in range(n) if i != j]
-    objs += [
-        triple(i, j, k)
-        for i in range(n)
-        for j, k in combinations((x for x in range(n) if x != i), 2)
-    ]
-    return objs
-
-
-def generators(n: int) -> list[Generator]:
-    gens: list[Generator] = []
-    for i, j in permutations(range(n), 2):
-        gens.append(Eta(i, j))
-        gens.append(Tau(i, j))
-    for i, j, k in permutations(range(n), 3):
-        gens.append(TauT(i, j, k))
-        if j < k:
-            gens.append(EtaT(i, j, k))
-            gens.append(EtaT(i, k, j))
-    return gens
+Square = tuple[IdxObj, IdxObj, tuple[Generator, ...]]
 
 
 @dataclass(frozen=True)
 class GluingIndexCategory:
+    """``paths[(a, b)]`` is a shortest generator chain, present exactly when
+    a -> b exists.  ``cone_squares`` holds per cone characterization its
+    squares (a, b, chain); legs L form a cone when L_b = L_a after the
+    chain's image for every square: (1) every morphism with a != b, along
+    its path; (2) every generator except ``TauT``; (3) like (2), with each
+    ``Tau(i, j)`` replaced by ``Eta(j, i), Tau(i, j)`` out of [j].
+    ``leg_generators``: ``Eta`` into each pair, then ``EtaT(i, j, k)`` with
+    j < k into each triple, each out of a single or an earlier codomain."""
+
     n: int
     objects: tuple[IdxObj, ...]
-    hom: frozenset[tuple[IdxObj, IdxObj]]
+    generators: tuple[Generator, ...]
+    paths: dict[tuple[IdxObj, IdxObj], tuple[Generator, ...]]
+    cone_squares: tuple[tuple[Square, ...], tuple[Square, ...], tuple[Square, ...]]
+    leg_generators: tuple[Eta | EtaT, ...]
 
     def hom_exists(self, a: IdxObj, b: IdxObj) -> bool:
-        return (a, b) in self.hom
+        return (a, b) in self.paths
 
     def morphism_count(self) -> int:
-        return len(self.hom)
+        return len(self.paths)
 
 
-def enumerate_category(n: int, max_n: int = DEFAULT_MAX_INDEX) -> GluingIndexCategory:
-    """Objects and the full hom-existence relation: support inclusion."""
+@lru_cache(maxsize=DEFAULT_MAX_INDEX)
+def index_category(n: int) -> GluingIndexCategory:
+    """The table for n charts.  The paths come from one breadth-first search
+    per source object, over the generators in their listed order."""
+    objects = [single(i) for i in range(n)] + [pair(i, j) for i, j in permutations(range(n), 2)]
+    objects += [triple(i, j, k) for i in range(n)
+                for j, k in combinations((x for x in range(n) if x != i), 2)]
+    gens: list[Generator] = [g for i, j in permutations(range(n), 2) for g in (Eta(i, j), Tau(i, j))]
+    for i, j, k in permutations(range(n), 3):
+        gens.append(TauT(i, j, k))
+        if j < k:
+            gens += [EtaT(i, j, k), EtaT(i, k, j)]
+    # the search runs on object positions, which hash faster than objects;
+    # the singles come first, so single(j) is objects[j]
+    position = {obj: k for k, obj in enumerate(objects)}
+    ends = [(position[g.dom], position[g.cod]) for g in gens]
+    out_edges: list[list[tuple[Generator, int]]] = [[] for _ in objects]
+    for g, (a, b) in zip(gens, ends):
+        out_edges[a].append((g, b))
+    paths = {}
+    for a, source in enumerate(objects):
+        reached, queue = {a: ()}, [a]
+        for obj in queue:
+            for g, b in out_edges[obj]:
+                if b not in reached:
+                    reached[b] = reached[obj] + (g,)
+                    queue.append(b)
+        paths.update(((source, objects[b]), chain) for b, chain in reached.items())
+    first = tuple((a, b, chain) for (a, b), chain in paths.items() if a != b)
+    plain = [(g, a, b) for g, (a, b) in zip(gens, ends) if not isinstance(g, TauT)]
+    second = tuple((objects[a], objects[b], (g,)) for g, a, b in plain)
+    third = tuple((objects[g.j], objects[b], (Eta(g.j, g.i), g)) if isinstance(g, Tau) else square
+                  for (g, _, b), square in zip(plain, second))
+    legs = [g for g in gens if isinstance(g, Eta)]
+    legs += [g for g in gens if isinstance(g, EtaT) and g.via < g.other]
+    return GluingIndexCategory(n, tuple(objects), tuple(gens), paths,
+                               (first, second, third), tuple(legs))
+
+
+def enumerate_category(n: int) -> GluingIndexCategory:
+    """The table for n charts, refused outside 1..DEFAULT_MAX_INDEX."""
     if n < 1:
         raise ValidationError("the index set must be non-empty")
-    if n > max_n:
-        raise ValidationError(f"index set size {n} above the configured bound {max_n}")
-    objs = enumerate_objects(n)
-    hom = frozenset((a, b) for a in objs for b in objs if a.support() <= b.support())
-    return GluingIndexCategory(n, tuple(objs), hom)
+    if n > DEFAULT_MAX_INDEX:
+        raise ValidationError(f"index set size {n} above the configured bound {DEFAULT_MAX_INDEX}")
+    return index_category(n)
 
 
 @lru_cache(maxsize=_PATH_CACHE_SIZE)
 def generator_path(n: int, a: IdxObj, b: IdxObj) -> tuple[Generator, ...] | None:
     """A shortest chain of generators from a to b, or None; () when a == b."""
-    if a == b:
-        return ()
-    out_edges: dict[IdxObj, list[Generator]] = {}
-    for g in generators(n):
-        out_edges.setdefault(g.dom, []).append(g)
-    frontier = [(a, ())]
-    seen = {a}
-    while frontier:
-        nxt = []
-        for obj, path in frontier:
-            for g in out_edges.get(obj, ()):
-                if g.cod == b:
-                    return path + (g,)
-                if g.cod not in seen:
-                    seen.add(g.cod)
-                    nxt.append((g.cod, path + (g,)))
-        frontier = nxt
-    return None
-
-
-def cone_squares(n: int) -> tuple[list[tuple[IdxObj, IdxObj, tuple[Generator, ...]]], ...]:
-    """Per cone characterization, its squares (a, b, chain): a family of
-    legs L is a cone when L_b = L_a after the image of the generator chain
-    from a to b, for every square of the list.
-
-    (1) every morphism a -> b with a != b, along ``generator_path``;
-    (2) every generator except ``TauT``;
-    (3) like (2), with each ``Tau(i, j)`` replaced by the chain
-        ``Eta(j, i), Tau(i, j)`` out of [j].
-    """
-    objs = enumerate_objects(n)
-    first = [(a, b, generator_path(n, a, b)) for a in objs for b in objs
-             if a != b and a.support() <= b.support()]
-    gens = [g for g in generators(n) if not isinstance(g, TauT)]
-    second = [(g.dom, g.cod, (g,)) for g in gens]
-    third = [(single(g.j), g.cod, (Eta(g.j, g.i), g)) if isinstance(g, Tau) else square
-             for g, square in zip(gens, second)]
-    return first, second, third
-
-
-def leg_generators(n: int) -> list[Eta | EtaT]:
-    """``Eta(i, j)`` into each [i,j], then ``EtaT(i, j, k)`` with j < k into
-    each [i,{j,k}]: extending the chart legs along these, in order, gives
-    the leg at every object from a leg already extended."""
-    return ([Eta(i, j) for i, j in permutations(range(n), 2)]
-            + [EtaT(i, j, k) for i, j, k in permutations(range(n), 3) if j < k])
+    return () if a == b else index_category(n).paths.get((a, b))
 
 
 # (relation id, maker) pairs; each maker yields (lhs chain, rhs chain) of
@@ -303,7 +283,7 @@ def check_generator_relations(n, images, compose, eq, identity) -> list[dict]:
     ``identity`` as well.
     """
     failures = []
-    missing = [g for g in generators(n) if g not in images]
+    missing = [g for g in index_category(n).generators if g not in images]
     if missing:
         raise ValidationError(f"missing generator images: {missing[:3]}{'...' if len(missing) > 3 else ''}")
 
@@ -331,7 +311,7 @@ def category_dot(cat: GluingIndexCategory) -> str:
     lines = ["digraph gluing_index {", "    rankdir=BT;"]
     for obj in cat.objects:
         lines.append(f'    {ids[obj]} [label="{obj.label()}"];')
-    for g in generators(cat.n):
+    for g in cat.generators:
         if isinstance(g, Eta):
             label = f"eta_{g.i},{g.j}"
         elif isinstance(g, Tau):

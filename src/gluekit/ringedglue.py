@@ -20,7 +20,7 @@ from . import rings as rg
 from . import topglue as tg
 from .errors import FalsificationError, UnsupportedFeature, ValidationError
 from .fintop import ContinuousMap, FinSpace, Open, minimal_cover, minimal_open
-from .indexcat import leg_generators, single
+from .indexcat import index_category, single
 from .presheaves import opens_below
 
 VARIANTS = ("rts", "lrts", "sch")
@@ -701,7 +701,7 @@ def verify_ringed_glued(
         glued = glue_ringed(g)
     top_functor = glued.top_functor
     legs = {single(i): top_legs[i] for i in range(g.n)}
-    for arrow in leg_generators(g.n):
+    for arrow in index_category(g.n).leg_generators:
         legs[arrow.cod] = ft.compose(legs[arrow.dom], top_functor.arrows[arrow])
     try:
         report["top_cone"] = all(tg.is_cone(candidate.top, legs, top_functor))

@@ -22,9 +22,7 @@ from .indexcat import (
     Generator,
     IdxObj,
     check_generator_relations,
-    enumerate_objects,
-    generators,
-    leg_generators,
+    index_category,
     single,
 )
 
@@ -142,7 +140,7 @@ def sheaf_functor_from_data(data: SheafGluingData, require_sheaves: bool = False
     functor = SheafGluingFunctor(data.base, data.cover, data.sheaves, data.transitions)
     failures = check_generator_relations(
         n,
-        {g: functor.gen_image(g) for g in generators(n)},
+        {g: functor.gen_image(g) for g in index_category(n).generators},
         compose=ps.compose_enriched,
         eq=ps.same_enriched,
         identity=lambda a: ps.identity_enriched(functor.obj(a)),
@@ -229,21 +227,22 @@ def build_limit_sheaf(g: SheafGluingFunctor) -> LimitSheaf:
     legs: dict[IdxObj, ps.EnrichedMorphism] = {}
     for i in range(g.n):
         legs[single(i)] = ps.EnrichedMorphism(carrier, g.sheaves[i], dict(projections[i]))
-    for arrow in leg_generators(g.n):
+    for arrow in index_category(g.n).leg_generators:
         legs[arrow.cod] = ps.compose_enriched(g.gen_image(arrow), legs[arrow.dom])
     return LimitSheaf(carrier, projections, inclusions, legs)
 
 
 def check_sheaf_cone(apex: ps.Presheaf, legs: dict[IdxObj, ps.EnrichedMorphism], g: SheafGluingFunctor) -> bool:
-    """Cone check on the generator squares: the image of every generator
-    after the leg at its domain is the leg at its codomain.  Every morphism
-    of the index category is a composite of generators, so then every
-    morphism commutes with the legs."""
-    if any(a not in legs for a in enumerate_objects(g.n)):
+    """Cone check on the squares of the generators other than ``TauT``: each
+    one's image after the leg at its domain is the leg at its codomain.  The
+    ``mixed_swap`` relation then gives the ``TauT`` squares, and every
+    morphism is a composite of generators, so every morphism commutes."""
+    table = index_category(g.n)
+    if any(a not in legs for a in table.objects):
         return False
     return all(
-        ps.same_enriched(ps.compose_enriched(g.gen_image(arrow), legs[arrow.dom]), legs[arrow.cod])
-        for arrow in generators(g.n)
+        ps.same_enriched(ps.compose_enriched(g.gen_image(arrow), legs[a]), legs[b])
+        for a, b, (arrow,) in table.cone_squares[1]
     )
 
 

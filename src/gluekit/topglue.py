@@ -25,8 +25,7 @@ from .indexcat import (
     Tau,
     TauT,
     check_generator_relations,
-    cone_squares,
-    leg_generators,
+    index_category,
     pair,
     single,
     triple,
@@ -71,9 +70,9 @@ class TopGluingFunctor:
     @cached_property
     def cone_squares(self) -> tuple[tuple[Square, ...] | None, ...] | ValidationError:
         """Per cone characterization of ``is_cone``, the squares of
-        ``indexcat.cone_squares`` as (b, a, m): the leg at b must equal the
-        leg at a after m, the assignment of the chain's plain map from the
-        space at b to the space at a, objects given by their positions in
+        ``index_category(n).cone_squares`` as (b, a, m): the leg at b must
+        equal the leg at a after m, the assignment of the chain's plain map
+        from the space at b to the space at a, objects given by positions in
         ``objects``.  Built once per functor.  A characterization with a
         square whose domain is not the space at b is None (no legs satisfy
         it); arrows that do not compose give their ValidationError instead."""
@@ -89,7 +88,7 @@ class TopGluingFunctor:
 
         try:
             # the identity squares (a == b) hold for every family of legs
-            table = [[square(*sq) for sq in squares] for squares in cone_squares(self.n)]
+            table = [[square(*sq) for sq in squares] for squares in index_category(self.n).cone_squares]
         except ValidationError as exc:
             return exc
         return tuple(None if None in sq else tuple(sq) for sq in table)
@@ -249,7 +248,7 @@ def standard_representative(g: TopGluingFunctor) -> GluedSpace:
     iota: dict[IdxObj, ContinuousMap] = {}
     for i in range(g.n):
         iota[single(i)] = ft.compose(proj, injections[i])
-    for arrow in leg_generators(g.n):
+    for arrow in index_category(g.n).leg_generators:
         iota[arrow.cod] = ft.compose(iota[arrow.dom], g.arrows[arrow])
     for i in range(g.n):
         leg = iota[single(i)]

@@ -13,6 +13,7 @@ CACHES = [
     (il.snf, lambda k: (((k,),),)),
     (ab._presentation_snf, lambda k: (1, ((k,),))),
     (ic.generator_path, lambda k: (k + 1, ic.single(0), ic.single(0))),
+    (ic.index_category, lambda k: (k + 1,)),
 ]
 
 

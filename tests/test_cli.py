@@ -81,6 +81,30 @@ def test_24_point_chain_verifies_within_a_second(capsys, tmp_path):
     assert json.loads(out)["conditions"]["final_topology"]
 
 
+def test_eight_nested_charts_of_a_chain_verify_within_two_seconds(capsys, tmp_path):
+    # run time grows with the chart count: eight charts give 232 index objects
+    n = 16
+    chain = ft.make_space(n, [range(m) for m in range(n + 1)])
+    g, _ = tg.cover_functor(chain, [frozenset(range(n - 2 * t)) for t in range(8)])
+    path = tmp_path / "chain8.json"
+    path.write_text(json.dumps(jsonio.top_data_to_document(tg.data_from_functor(g))))
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, "verify", str(path))
+    assert code == 0, err
+    assert time.perf_counter() - start < 2.0
+
+
+def test_batch_verify_out_writes_one_report_per_document(capsys, tmp_path):
+    code, out, err = run_main(capsys, "verify", FIXTURES, "--out", str(tmp_path / "reports"))
+    assert code == 0, err
+    names = sorted(name for name in os.listdir(FIXTURES) if name.endswith(".json"))
+    assert sorted(os.listdir(tmp_path / "reports")) == names
+    for name in names:
+        single = tmp_path / f"single_{name}"
+        assert run_main(capsys, "verify", fixture(name), "--out", str(single))[0] == 0
+        assert (tmp_path / "reports" / name).read_bytes() == single.read_bytes()
+
+
 def test_index_command_and_dot(capsys, tmp_path):
     dot = tmp_path / "idx.dot"
     code, out, err = run_main(capsys, "index", "--n", "2", "--dot", str(dot))

@@ -1,4 +1,4 @@
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 import hypothesis
 import hypothesis.strategies as st
@@ -124,16 +124,64 @@ def test_hom_table_matches_closure_oracle_and_support_formula():
     for n in range(1, ic.DEFAULT_MAX_INDEX + 1):
         cat = ic.enumerate_category(n)
         oracle = {( _to_obj(a), _to_obj(b)) for a, b in oracle_hom_pairs(n)}
-        assert cat.hom == frozenset(oracle)
+        assert set(cat.paths) == oracle
         for a in cat.objects:
             for b in cat.objects:
                 assert cat.hom_exists(a, b) == (a.support() <= b.support())
 
 
+def reference_generators(n):
+    gens = []
+    for i, j in permutations(range(n), 2):
+        gens.append(ic.Eta(i, j))
+        gens.append(ic.Tau(i, j))
+    for i, j, k in permutations(range(n), 3):
+        gens.append(ic.TauT(i, j, k))
+        if j < k:
+            gens.append(ic.EtaT(i, j, k))
+            gens.append(ic.EtaT(i, k, j))
+    return gens
+
+
+def reference_generator_path(out_edges, a, b):
+    """A shortest chain of generators from a to b, or None: a breadth-first
+    search of its own from a, trying each object's out-edges in order."""
+    if a == b:
+        return ()
+    frontier = [(a, ())]
+    seen = {a}
+    while frontier:
+        nxt = []
+        for obj, path in frontier:
+            for g in out_edges.get(obj, ()):
+                if g.cod == b:
+                    return path + (g,)
+                if g.cod not in seen:
+                    seen.add(g.cod)
+                    nxt.append((g.cod, path + (g,)))
+        frontier = nxt
+    return None
+
+
+def test_paths_match_per_pair_search_oracle():
+    for n in range(1, ic.DEFAULT_MAX_INDEX + 1):
+        cat = ic.index_category(n)
+        gens = reference_generators(n)
+        assert list(cat.generators) == gens
+        out_edges = {}
+        for g in gens:
+            out_edges.setdefault(g.dom, []).append(g)
+        for a in cat.objects:
+            for b in cat.objects:
+                assert reference_generator_path(out_edges, a, b) == cat.paths.get((a, b)), (n, a, b)
+                assert ic.generator_path(n, a, b) == cat.paths.get((a, b))
+
+
 def test_cone_squares_and_leg_generators():
     for n in range(1, ic.DEFAULT_MAX_INDEX + 1):
-        gens = ic.generators(n)
-        first, second, third = ic.cone_squares(n)
+        cat = ic.index_category(n)
+        gens = cat.generators
+        first, second, third = cat.cone_squares
         for a, b, chain in first + second + third:
             # each chain runs from a to b, one generator after the other
             assert [g.dom for g in chain] == [a] + [g.cod for g in chain[:-1]]
@@ -147,16 +195,16 @@ def test_cone_squares_and_leg_generators():
         # the leg generators reach every non-single object once, each from
         # a single or an object reached before it
         reached = [ic.single(i) for i in range(n)]
-        for g in ic.leg_generators(n):
+        for g in cat.leg_generators:
             assert g in gens and g.dom in reached and g.cod not in reached
             reached.append(g.cod)
-        assert sorted(reached, key=repr) == sorted(ic.enumerate_objects(n), key=repr)
+        assert sorted(reached, key=repr) == sorted(cat.objects, key=repr)
 
 
 def test_composition_associative_and_unital():
     cat = ic.enumerate_category(3)
     # extensional morphisms: composition is concatenation of endpoints
-    homs = sorted(cat.hom, key=repr)
+    homs = sorted(cat.paths, key=repr)
     for a, b in homs[:80]:
         assert cat.hom_exists(a, a) and cat.hom_exists(b, b)
         for c in cat.objects:
@@ -166,7 +214,7 @@ def test_composition_associative_and_unital():
 
 def test_triple_objects_receive_both_inclusion_arrows():
     n = 3
-    gens = ic.generators(n)
+    gens = ic.index_category(n).generators
     for i in range(n):
         rest = [x for x in range(n) if x != i]
         j, k = rest
@@ -180,12 +228,12 @@ def test_bounds():
         ic.enumerate_category(0)
     with pytest.raises(ValidationError):
         ic.enumerate_category(7)
-    assert ic.enumerate_category(7, max_n=7).n == 7
+    assert ic.index_category(7).n == 7
 
 
 def test_generator_relations_identity_assignment_passes():
     pt = ft.point_space()
-    images = {g: ft.identity_map(pt) for g in ic.generators(3)}
+    images = {g: ft.identity_map(pt) for g in ic.index_category(3).generators}
     failures = ic.check_generator_relations(
         3,
         images,
@@ -201,7 +249,7 @@ def test_generator_relations_detect_broken_inverse():
     swap = ft.make_map(two, two, [1, 0])
     ident = ft.identity_map(two)
     images = {}
-    for g in ic.generators(2):
+    for g in ic.index_category(2).generators:
         images[g] = ident
     images[ic.Tau(0, 1)] = swap  # not inverse to the identity at Tau(1, 0)
     failures = ic.check_generator_relations(

@@ -8,7 +8,7 @@ from gluekit import generators as gen
 from gluekit import presheaves as ps
 from gluekit import sheafglue as sg
 from gluekit.errors import ValidationError
-from gluekit.indexcat import enumerate_objects, generator_path, single
+from gluekit.indexcat import generator_path, index_category, single
 
 Z = ab.free_group(1)
 
@@ -289,7 +289,7 @@ def arrow_image(g, a, b):
 
 def reference_check_sheaf_cone(apex, legs, g):
     """Full-diagram cone check: every index-category morphism commutes."""
-    objs = enumerate_objects(g.n)
+    objs = index_category(g.n).objects
     if any(a not in legs for a in objs):
         return False
     for a in objs:
@@ -325,7 +325,7 @@ def extended_from_charts(g, legs):
     the chart leg at its apex along the morphism [apex] -> a."""
     charts = [legs[single(i)] for i in range(g.n)]
     return {a: ps.compose_enriched(arrow_image(g, single(a.apex), a), charts[a.apex])
-            for a in enumerate_objects(g.n)}
+            for a in index_category(g.n).objects}
 
 
 def zeroed(h):

@@ -8,7 +8,7 @@ from gluekit import fintop as ft
 from gluekit import generators as gen
 from gluekit import topglue as tg
 from gluekit.errors import FalsificationError, ValidationError
-from gluekit.indexcat import Eta, EtaT, Tau, enumerate_objects, generator_path, pair, single, triple
+from gluekit.indexcat import Eta, EtaT, Tau, generator_path, index_category, pair, single, triple
 
 S = ft.sierpinski()
 
@@ -162,7 +162,7 @@ def reference_is_cone(apex, legs, g):
     """is_cone morphism by morphism: every arrow image composed and every
     map compared whole, on each call."""
     tg._legs_match_endpoints(g, apex, legs)
-    objs = enumerate_objects(g.n)
+    objs = index_category(g.n).objects
     first = True
     for a in objs:
         for b in objs:
