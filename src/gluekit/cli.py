@@ -41,17 +41,28 @@ DEFAULT_SAMPLES = 25
 
 
 def _seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("GLUE_SEED")
-    if env is not None:
+    if env is None:
+        return DEFAULT_SEED
+    try:
         return int(env)
-    return DEFAULT_SEED
+    except ValueError:
+        raise ValidationError(f"GLUE_SEED must be an integer, got {env!r}") from None
+
+
+def positive_int(text: str) -> int:
+    """An integer of at least 1, for --samples."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _top_glue(data):
     try:
-        functor = tg.functor_from_data(data, validate=True)
+        functor = tg.functor_from_data(data)
     except ValidationError:
         return None
     return functor, tg.standard_representative(functor)
@@ -82,7 +93,7 @@ def _top_artifacts(functor, rep) -> dict:
 
 def _sheaf_glue(data):
     try:
-        functor = sg.sheaf_functor_from_data(data, require_sheaves=True)
+        functor = sg.sheaf_functor_from_data(data)
     except ValidationError:
         return None
     return functor, sg.build_limit_sheaf(functor)
@@ -215,6 +226,8 @@ def _verify_one(path: str, args, out: str | None) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # resolved once, so a bad GLUE_SEED is one error before any document
+    args.seed = _seed(args)
     if os.path.isdir(args.file):
         # batch mode: one document per file, worst exit code wins; --out
         # names a directory that gets each document's report under its name
@@ -302,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_verify, p_build):
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+        p.add_argument("--samples", type=positive_int, default=DEFAULT_SAMPLES)
         p.add_argument("--variant", choices=variant_choices, default=None,
                        help="override the document's variant")
 

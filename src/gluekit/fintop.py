@@ -9,7 +9,7 @@ against the standard fiber product through an explicit comparison map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ValidationError
@@ -154,7 +154,6 @@ class ContinuousMap:
     dom: FinSpace
     cod: FinSpace
     assign: tuple[int, ...]
-    require_open: bool = field(default=False, compare=False)
 
     def __call__(self, x: int) -> int:
         return self.assign[x]
@@ -170,18 +169,16 @@ class ContinuousMap:
         return f"ContinuousMap({self.dom.n}->{self.cod.n}, {self.assign})"
 
 
-def make_map(dom: FinSpace, cod: FinSpace, assign, require_open: bool = False) -> ContinuousMap:
+def make_map(dom: FinSpace, cod: FinSpace, assign) -> ContinuousMap:
     assign = tuple(int(x) for x in assign)
     if len(assign) != dom.n:
         raise ValidationError("assignment must be total on the domain")
     for y in assign:
         if not 0 <= y < cod.n:
             raise ValidationError(f"value {y} outside the codomain")
-    f = ContinuousMap(dom, cod, assign, require_open)
+    f = ContinuousMap(dom, cod, assign)
     if not is_continuous(f):
         raise ValidationError("map is not continuous")
-    if require_open and not is_open_map(f):
-        raise ValidationError("map is not open")
     return f
 
 

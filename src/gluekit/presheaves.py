@@ -2,9 +2,11 @@
 
 A presheaf lives on an open ``domain`` of an ambient space and stores one
 group per open below the domain together with every restriction hom.  The
-sheaf condition is decided through equalizers on one cover per open, its
-minimal cover: the canonical map into the compatible-family subgroup must
-be an isomorphism.
+presheaf laws are checked in one place, ``presheaf_law_failures``, for any
+kind of sections: ``make_presheaf`` passes the group operations and
+``ringedglue.make_ringed_space`` the ring ones.  The sheaf condition is
+decided through equalizers on one cover per open, its minimal cover: the
+canonical map into the compatible-family subgroup must be an isomorphism.
 
 Convention: sections over the empty set form the trivial group.
 """
@@ -44,59 +46,63 @@ def opens_below(space: FinSpace, domain: Open) -> list[Open]:
     )
 
 
+def presheaf_law_failures(opens, sections, restrictions, is_hom, compose, same, identity) -> list[str]:
+    """The presheaf laws over ``opens``, for any kind of sections: ``is_hom``
+    tells a homomorphism, ``compose(f, g)`` is f after g, ``same`` compares
+    homs and ``identity`` gives the identity on a section object.
+
+    The laws are checked in stages, each only when the one before holds:
+    sections present; restrictions present, typed and homomorphisms; the
+    identity on each open and every composite.  The failures of the first
+    failing stage are returned, in the order of ``opens``.
+    """
+    problems = [f"missing sections over {sorted(o)}" for o in opens if o not in sections]
+    if problems:
+        return problems
+    for u in opens:
+        for v in opens:
+            if not v <= u:
+                continue
+            h = restrictions.get((u, v))
+            if h is None:
+                problems.append(f"missing restriction {sorted(u)} -> {sorted(v)}")
+            elif h.dom != sections[u] or h.cod != sections[v]:
+                problems.append(f"restriction {sorted(u)} -> {sorted(v)} has wrong endpoints")
+            elif not is_hom(h):
+                problems.append(f"restriction {sorted(u)} -> {sorted(v)} is not a homomorphism")
+    if problems:
+        return problems
+    for u in opens:
+        if not same(restrictions[(u, u)], identity(sections[u])):
+            problems.append(f"restriction on {sorted(u)} is not the identity")
+    for u in opens:
+        for v in opens:
+            if not v < u:
+                continue
+            for w in opens:
+                if not w < v:
+                    continue
+                composite = compose(restrictions[(v, w)], restrictions[(u, v)])
+                if not same(composite, restrictions[(u, w)]):
+                    problems.append(f"composite {sorted(u)} -> {sorted(v)} -> {sorted(w)} disagrees")
+    return problems
+
+
 def make_presheaf(space: FinSpace, domain, sections, restrictions) -> Presheaf:
-    """Validated presheaf; the error message names every violated composite."""
+    """Validated presheaf; the error message names every violated law of
+    the first failing stage of ``presheaf_law_failures``."""
     domain = frozenset(domain)
     if domain not in space.opens:
         raise ValidationError("presheaf domain must be an open of the space")
     sections = {frozenset(k): v for k, v in sections.items()}
     restrictions = {(frozenset(u), frozenset(v)): h for (u, v), h in restrictions.items()}
-    needed = opens_below(space, domain)
-    problems = []
-    for o in needed:
-        if o not in sections:
-            problems.append(f"missing sections over {sorted(o)}")
+    problems = presheaf_law_failures(
+        opens_below(space, domain), sections, restrictions,
+        ab.is_well_defined, ab.compose_hom, ab.same_hom, ab.id_hom,
+    )
     if problems:
         raise ValidationError("; ".join(problems))
-    for u in needed:
-        for v in needed:
-            if v <= u:
-                h = restrictions.get((u, v))
-                if h is None:
-                    problems.append(f"missing restriction {sorted(u)} -> {sorted(v)}")
-                    continue
-                if h.dom != sections[u] or h.cod != sections[v]:
-                    problems.append(f"restriction {sorted(u)} -> {sorted(v)} has wrong endpoints")
-                elif not ab.is_well_defined(h):
-                    problems.append(f"restriction {sorted(u)} -> {sorted(v)} not well-defined")
-    if problems:
-        raise ValidationError("; ".join(problems))
-    f = Presheaf(space, domain, sections, restrictions)
-    problems = functoriality_failures(f)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return f
-
-
-def functoriality_failures(f: Presheaf) -> list[str]:
-    out = []
-    opens = f.opens()
-    for u in opens:
-        if not ab.same_hom(f.res(u, u), ab.id_hom(f.group(u))):
-            out.append(f"restriction on {sorted(u)} is not the identity")
-    for u in opens:
-        for v in opens:
-            if not v <= u or v == u:
-                continue
-            for w in opens:
-                if not w <= v or w == v:
-                    continue
-                lhs = ab.compose_hom(f.res(v, w), f.res(u, v))
-                if not ab.same_hom(lhs, f.res(u, w)):
-                    out.append(
-                        f"composite {sorted(u)} -> {sorted(v)} -> {sorted(w)} disagrees"
-                    )
-    return out
+    return Presheaf(space, domain, sections, restrictions)
 
 
 def restrict_presheaf(f: Presheaf, u) -> Presheaf:

@@ -1,8 +1,9 @@
 """Ringed finite spaces, stalks via minimal opens, and chart gluing.
 
 A ringed space is a finite space with one table ring per open and ring-hom
-restrictions satisfying the sheaf axioms (decided by enumeration, which on
-table rings is the identity-and-gluing condition verbatim).  Gluing input
+restrictions satisfying the presheaf laws (``presheaves.presheaf_law_failures``
+with the ring operations) and the sheaf axioms (decided by enumeration, which
+on table rings is the identity-and-gluing condition verbatim).  Gluing input
 is the classical chart form: ringed charts, overlap opens inside each
 chart, and transition isomorphisms stored as transports from chart to
 chart.  The glued object pairs the topological standard representative
@@ -12,6 +13,7 @@ are falsification checks, not input validation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations, permutations, product as iproduct
 
@@ -21,7 +23,7 @@ from . import topglue as tg
 from .errors import FalsificationError, UnsupportedFeature, ValidationError
 from .fintop import ContinuousMap, FinSpace, Open, minimal_cover, minimal_open
 from .indexcat import index_category, single
-from .presheaves import opens_below
+from .presheaves import opens_below, presheaf_law_failures
 
 VARIANTS = ("rts", "lrts", "sch")
 
@@ -44,42 +46,13 @@ class RingedSpace:
 def make_ringed_space(top: FinSpace, sections, restr, check_sheaf: bool = True) -> RingedSpace:
     sections = {frozenset(k): v for k, v in sections.items()}
     restr = {(frozenset(u), frozenset(v)): h for (u, v), h in restr.items()}
-    problems = []
-    opens = top.sorted_opens()
-    for o in opens:
-        if o not in sections:
-            problems.append(f"missing sections over {sorted(o)}")
-    if problems:
-        raise ValidationError("; ".join(problems))
-    for u in opens:
-        for v in opens:
-            if not v <= u:
-                continue
-            h = restr.get((u, v))
-            if h is None:
-                problems.append(f"missing restriction {sorted(u)} -> {sorted(v)}")
-            elif h.dom != sections[u] or h.cod != sections[v]:
-                problems.append(f"restriction {sorted(u)} -> {sorted(v)} has wrong endpoints")
-            elif not rg.is_ring_hom(h):
-                problems.append(f"restriction {sorted(u)} -> {sorted(v)} is not a ring hom")
+    problems = presheaf_law_failures(
+        top.sorted_opens(), sections, restr,
+        rg.is_ring_hom, rg.compose_ring_hom, operator.eq, rg.identity_ring_hom,
+    )
     if problems:
         raise ValidationError("; ".join(problems))
     space = RingedSpace(top, sections, restr)
-    for u in opens:
-        if space.res(u, u).assign != tuple(sections[u].elements()):
-            problems.append(f"restriction on {sorted(u)} is not the identity")
-    for u in opens:
-        for v in opens:
-            if not v <= u or v == u:
-                continue
-            for w in opens:
-                if not w <= v or w == v:
-                    continue
-                lhs = rg.compose_ring_hom(space.res(v, w), space.res(u, v))
-                if lhs != space.res(u, w):
-                    problems.append(f"composite {sorted(u)} -> {sorted(v)} -> {sorted(w)} disagrees")
-    if problems:
-        raise ValidationError("; ".join(problems))
     if check_sheaf:
         failures = ring_sheaf_failures(space)
         if failures:
@@ -145,7 +118,6 @@ def restrict_ringed(space: RingedSpace, v) -> tuple[RingedSpace, list[int]]:
 
 @dataclass
 class Stalk:
-    point: int
     minimal_open: Open
     ring: rg.FinCommRing
     germ_maps: dict[Open, rg.RingHom]
@@ -162,7 +134,7 @@ def stalk_at(space: RingedSpace, x: int) -> Stalk:
         for u in space.top.sorted_opens()
         if x in u
     }
-    return Stalk(x, ux, space.ring(ux), germ)
+    return Stalk(ux, space.ring(ux), germ)
 
 
 def is_stalk_cocone(space: RingedSpace, x: int, target: rg.FinCommRing, maps: dict[Open, rg.RingHom]) -> bool:
@@ -618,7 +590,7 @@ def _executed_stalk_checks(g: RingedGluingFunctor, glued: GluedRinged) -> None:
                     raise FalsificationError("projection stalk map is not local")
 
 
-def induced_sheaf_functor(g: RingedGluingFunctor, glued: GluedRinged | None = None):
+def induced_sheaf_functor(g: RingedGluingFunctor, glued: GluedRinged):
     """Push each chart sheaf forward onto its image in the glued space and
     package the transitions as an abelian-group sheaf gluing functor over
     the image cover; the result passes the sheaf-glue validator."""
@@ -626,8 +598,6 @@ def induced_sheaf_functor(g: RingedGluingFunctor, glued: GluedRinged | None = No
     from . import sheafglue as sg
 
     _check_sch(g)
-    if glued is None:
-        glued = glue_ringed(g)
     q = glued.space.top
     cover = tuple(
         glued.top_legs[i].image_of(range(g.charts[i].top.n)) for i in range(g.n)
@@ -670,7 +640,7 @@ def induced_sheaf_functor(g: RingedGluingFunctor, glued: GluedRinged | None = No
             )
         transitions[(i, j)] = ps.NatIso(dom, cod, comps)
     data = sg.SheafGluingData(q, cover, tuple(sheaves), transitions)
-    return sg.sheaf_functor_from_data(data, require_sheaves=True)
+    return sg.sheaf_functor_from_data(data)
 
 
 def verify_ringed_glued(
@@ -678,7 +648,7 @@ def verify_ringed_glued(
     top_legs: dict[int, ContinuousMap],
     sheaf_legs: dict[int, dict[Open, rg.RingHom]],
     g: RingedGluingFunctor,
-    glued: GluedRinged | None = None,
+    glued: GluedRinged,
 ) -> dict:
     """Compare a candidate cone with the standard glued ringed space.
 
@@ -697,8 +667,6 @@ def verify_ringed_glued(
         "locality": g.variant != "lrts",
         "verdict": False,
     }
-    if glued is None:
-        glued = glue_ringed(g)
     top_functor = glued.top_functor
     legs = {single(i): top_legs[i] for i in range(g.n)}
     for arrow in index_category(g.n).leg_generators:

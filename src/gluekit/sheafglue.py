@@ -1,9 +1,13 @@
 """Gluing sheaves of abelian groups along an open cover of a fixed base.
 
-The limit sheaf is materialized per open as the equalizer subgroup of the
-product of chart sections: the compatible families.  All structure maps of
-the gluing functor are enriched morphisms with inclusion open parts for the
-attaching arrows and identity open parts for the transitions.
+One datum, ``SheafGluingData``, is both the gluing input and, once
+``sheaf_functor_from_data`` accepts it, the gluing functor.  The laws of
+the transitions (each inverse to its mirror, the cocycle law) are checked
+only as the index category's generator relations.  The limit sheaf is
+materialized per open as the equalizer subgroup of the product of chart
+sections: the compatible families.  All structure maps of the gluing
+functor are enriched morphisms with inclusion open parts for the attaching
+arrows and identity open parts for the transitions.
 """
 
 from __future__ import annotations
@@ -29,18 +33,10 @@ from .indexcat import (
 
 @dataclass
 class SheafGluingData:
-    base: FinSpace
-    cover: tuple[Open, ...]
-    sheaves: tuple[ps.Presheaf, ...]
-    transitions: dict[tuple[int, int], ps.NatIso]
+    """Gluing input, and once ``sheaf_functor_from_data`` accepts it, the
+    gluing functor itself: charts, overlap restrictions and transitions are
+    the images of the index category's objects and generators."""
 
-    @property
-    def n(self) -> int:
-        return len(self.cover)
-
-
-@dataclass
-class SheafGluingFunctor:
     base: FinSpace
     cover: tuple[Open, ...]
     sheaves: tuple[ps.Presheaf, ...]
@@ -86,12 +82,15 @@ def _restriction_enriched(dom: ps.Presheaf, cod: ps.Presheaf) -> ps.EnrichedMorp
     return ps.EnrichedMorphism(dom, cod, comps)
 
 
-def sheaf_functor_from_data(data: SheafGluingData, require_sheaves: bool = False) -> SheafGluingFunctor:
-    """Validate a gluing input and package it as a functor.
+def sheaf_functor_from_data(data: SheafGluingData) -> SheafGluingData:
+    """Validate a gluing input as a functor on the index category and
+    return it.
 
     Checks the cover, the chart domains, that each transition is a natural
-    isomorphism inverse to its mirror, and the cocycle law on every open of
-    every triple overlap; violations are named (i, j, k, open).
+    isomorphism on its overlap, the generator relations (among them
+    ``inverse_pair``, each transition inverse to its mirror, and
+    ``triple_composition``, the cocycle law), and that every chart is a
+    sheaf.
     """
     n = data.n
     if n == 0:
@@ -111,7 +110,7 @@ def sheaf_functor_from_data(data: SheafGluingData, require_sheaves: bool = False
         if iso is None:
             problems.append(f"missing transition ({i},{j})")
             continue
-        overlap = data.cover[i] & data.cover[j]
+        overlap = data.overlap(i, j)
         if iso.dom.domain != overlap or iso.cod.domain != overlap:
             problems.append(f"transition ({i},{j}) has the wrong overlap")
             continue
@@ -120,43 +119,20 @@ def sheaf_functor_from_data(data: SheafGluingData, require_sheaves: bool = False
             problems.append(f"transition ({i},{j}): {errs[0]}")
     if problems:
         raise ValidationError("; ".join(problems))
-    for i, j in permutations(range(n), 2):
-        fwd, bwd = data.transitions[(i, j)], data.transitions[(j, i)]
-        for w in fwd.dom.opens():
-            comp = ab.compose_hom(bwd.components[w], fwd.components[w])
-            if not ab.same_hom(comp, ab.id_hom(fwd.dom.group(w))):
-                problems.append(f"transitions ({i},{j}),({j},{i}) are not mutually inverse at {sorted(w)}")
-    for i, j, k in permutations(range(n), 3):
-        zone = data.cover[i] & data.cover[j] & data.cover[k]
-        for w in ps.opens_below(data.base, zone):
-            lhs = ab.compose_hom(
-                data.transitions[(j, k)].components[w],
-                data.transitions[(i, j)].components[w],
-            )
-            if not ab.same_hom(lhs, data.transitions[(i, k)].components[w]):
-                problems.append(f"cocycle fails at ({i},{j},{k}) on {sorted(w)}")
-    if problems:
-        raise ValidationError("; ".join(problems))
-    functor = SheafGluingFunctor(data.base, data.cover, data.sheaves, data.transitions)
     failures = check_generator_relations(
         n,
-        {g: functor.gen_image(g) for g in index_category(n).generators},
+        {g: data.gen_image(g) for g in index_category(n).generators},
         compose=ps.compose_enriched,
         eq=ps.same_enriched,
-        identity=lambda a: ps.identity_enriched(functor.obj(a)),
+        identity=lambda a: ps.identity_enriched(data.obj(a)),
     )
     if failures:
         raise ValidationError(f"generator relations fail: {failures[:3]}")
-    if require_sheaves:
-        for i, f in enumerate(data.sheaves):
-            ok, cert = ps.is_sheaf(f)
-            if not ok:
-                raise ValidationError(f"chart {i} is not a sheaf: {cert}")
-    return functor
-
-
-def data_from_sheaf_functor(g: SheafGluingFunctor) -> SheafGluingData:
-    return SheafGluingData(g.base, g.cover, g.sheaves, g.transitions)
+    for i, f in enumerate(data.sheaves):
+        ok, cert = ps.is_sheaf(f)
+        if not ok:
+            raise ValidationError(f"chart {i} is not a sheaf: {cert}")
+    return data
 
 
 @dataclass
@@ -167,7 +143,7 @@ class LimitSheaf:
     legs: dict[IdxObj, ps.EnrichedMorphism]
 
 
-def build_limit_sheaf(g: SheafGluingFunctor) -> LimitSheaf:
+def build_limit_sheaf(g: SheafGluingData) -> LimitSheaf:
     """Sections over V are the transition-compatible tuples of chart
     sections; restrictions act componentwise through a factorization that
     must exist, and the chart projections assemble into a limit cone."""
@@ -232,7 +208,7 @@ def build_limit_sheaf(g: SheafGluingFunctor) -> LimitSheaf:
     return LimitSheaf(carrier, projections, inclusions, legs)
 
 
-def check_sheaf_cone(apex: ps.Presheaf, legs: dict[IdxObj, ps.EnrichedMorphism], g: SheafGluingFunctor) -> bool:
+def check_sheaf_cone(apex: ps.Presheaf, legs: dict[IdxObj, ps.EnrichedMorphism], g: SheafGluingData) -> bool:
     """Cone check on the squares of the generators other than ``TauT``: each
     one's image after the leg at its domain is the leg at its codomain.  The
     ``mixed_swap`` relation then gives the ``TauT`` squares, and every
@@ -247,7 +223,7 @@ def check_sheaf_cone(apex: ps.Presheaf, legs: dict[IdxObj, ps.EnrichedMorphism],
 
 
 def mediating_into_limit(
-    apex: ps.Presheaf, legs: dict[IdxObj, ps.EnrichedMorphism], lim: LimitSheaf, g: SheafGluingFunctor
+    apex: ps.Presheaf, legs: dict[IdxObj, ps.EnrichedMorphism], lim: LimitSheaf, g: SheafGluingData
 ) -> dict[Open, ab.AbHom] | None:
     """Componentwise comparison into the limit: at every open, the tuple of
     single-chart leg components, factored through the compatible-family
@@ -267,8 +243,8 @@ def mediating_into_limit(
 def verify_sheaf_glued(
     candidate: ps.Presheaf,
     legs: dict[IdxObj, ps.EnrichedMorphism],
-    g: SheafGluingFunctor,
-    lim: LimitSheaf | None = None,
+    g: SheafGluingData,
+    lim: LimitSheaf,
 ) -> dict:
     """Report: is the candidate with its projection family a glued-up
     object, i.e. a cone comparing isomorphically with the limit sheaf."""
@@ -277,8 +253,6 @@ def verify_sheaf_glued(
     report["cone"] = check_sheaf_cone(candidate, legs, g)
     if not report["cone"]:
         return report
-    if lim is None:
-        lim = build_limit_sheaf(g)
     comps = mediating_into_limit(candidate, legs, lim, g)
     if comps is None:
         return report
@@ -305,7 +279,7 @@ def verify_sheaf_glued(
     return report
 
 
-def extend_section(lim: LimitSheaf, g: SheafGluingFunctor, i: int, v, coords) -> tuple[int, ...] | None:
+def extend_section(lim: LimitSheaf, g: SheafGluingData, i: int, v, coords) -> tuple[int, ...] | None:
     """Spread one chart section over V to a compatible family when the
     transition translates determine every component, i.e. when V meets each
     chart inside the overlap with chart i; absent otherwise."""

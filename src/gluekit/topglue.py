@@ -100,9 +100,6 @@ class GluedSpace:
 
     space: FinSpace
     iota: dict[IdxObj, ContinuousMap]
-    relation: frozenset[tuple[int, int]]
-    quotient: ContinuousMap
-    injections: tuple[ContinuousMap, ...]
 
 
 @dataclass
@@ -117,7 +114,7 @@ def _triple_keys(n: int):
             yield (i, frozenset({j, k}))
 
 
-def functor_from_data(data: TopGluingData, validate: bool = True) -> TopGluingFunctor:
+def functor_from_data(data: TopGluingData) -> TopGluingFunctor:
     n = data.n
     objects: dict[IdxObj, FinSpace] = {}
     arrows: dict[Generator, ContinuousMap] = {}
@@ -148,10 +145,9 @@ def functor_from_data(data: TopGluingData, validate: bool = True) -> TopGluingFu
             raise ValidationError(f"missing triple transition ({i},{j},{k})")
         arrows[TauT(i, j, k)] = t
     functor = TopGluingFunctor(n, data.open_variant, objects, arrows)
-    if validate:
-        report = validate_functor(functor)
-        if not report["ok"]:
-            raise ValidationError(f"invalid gluing data: {report}")
+    report = validate_functor(functor)
+    if not report["ok"]:
+        raise ValidationError(f"invalid gluing data: {report}")
     return functor
 
 
@@ -258,7 +254,7 @@ def standard_representative(g: TopGluingFunctor) -> GluedSpace:
             raise FalsificationError(f"chart leg {i} is not continuous")
         if g.open_variant and not ft.is_open_map(leg):
             raise FalsificationError(f"chart leg {i} is not open")
-    return GluedSpace(q, iota, frozenset(pairs), proj, tuple(injections))
+    return GluedSpace(q, iota)
 
 
 def _legs_match_endpoints(g: TopGluingFunctor, apex: FinSpace, legs) -> list[ContinuousMap]:

@@ -284,6 +284,32 @@ def test_seed_env_override(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 7
 
 
+def test_non_integer_seed_env_is_invalid_input(capsys, monkeypatch, tmp_path):
+    import shutil
+
+    monkeypatch.setenv("GLUE_SEED", "abc")
+    code, out, err = run_main(capsys, "verify", fixture("two_origins.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "GLUE_SEED" in err and "Traceback" not in err
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    shutil.copy(fixture("two_origins.json"), batch / "a.json")
+    shutil.copy(fixture("two_origins_sheaf.json"), batch / "b.json")
+    code, out, err = run_main(capsys, "verify", str(batch))
+    assert code == 2 and out == ""
+    assert err.count("GLUE_SEED") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_sample_count_below_one_is_refused(capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", fixture("two_origins.json"), "--samples", samples])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error: argument --samples: must be at least 1" in captured.err
+
+
 def test_batch_mode_over_directory(capsys, tmp_path):
     import shutil
 

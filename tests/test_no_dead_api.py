@@ -1,10 +1,13 @@
-"""Every function, class and method defined in ``src/gluekit`` is used.
+"""Every function, class, method and dataclass field defined in
+``src/gluekit`` is used.
 
 A definition counts as used when its name is read somewhere else in
 ``src/``, ``tests/`` or ``perfbench/``: as a name, an attribute, an
 imported name, or a word of a string literal (``perfbench/tracing.py``
 names the functions it wraps in strings).  Docstrings and comments do not
 count, and dunder methods are called by the language, so they are exempt.
+A dataclass field counts as used only when some file reads it as an
+attribute: a field that is only ever stored is state nobody looks at.
 """
 
 import ast
@@ -60,3 +63,33 @@ def test_every_definition_is_referenced():
             used.update(references(parse(path)))
     dead = [f"{path}:{line} {name}" for path, line, name in defined if name not in used]
     assert defined and not dead, dead
+
+
+def dataclass_fields(tree):
+    """(line, class, field) for each annotated field of a @dataclass class."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield item.lineno, node.name, item.target.id
+
+
+def test_every_dataclass_field_is_read():
+    fields = [
+        (os.path.relpath(path, ROOT), line, cls, name)
+        for path in python_files(PACKAGE)
+        for line, cls, name in dataclass_fields(parse(path))
+    ]
+    read = set()
+    for top in SCANNED:
+        for path in python_files(top):
+            read.update(
+                node.attr for node in ast.walk(parse(path))
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            )
+    unread = [f"{path}:{line} {cls}.{name}" for path, line, cls, name in fields if name not in read]
+    assert fields and not unread, unread

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product as iproduct
 
 import pytest
 
@@ -7,6 +8,8 @@ from gluekit import abgroups as ab
 from gluekit import fintop as ft
 from gluekit import generators as gen
 from gluekit import presheaves as ps
+from gluekit import rings as rg
+from gluekit import ringedglue as rgl
 from gluekit.errors import ValidationError
 
 S = ft.sierpinski()
@@ -144,7 +147,7 @@ def test_fixture_presheaf_parses_and_validates():
         doc = json.load(fh)
     payload = jsonio.parse_document(doc)
     for chart in payload["data"].sheaves:
-        assert ps.functoriality_failures(chart) == []
+        ps.make_presheaf(chart.space, chart.domain, chart.sections, chart.restrictions)
 
 
 def test_is_sheaf_constant_on_discrete_fails_gluing():
@@ -301,3 +304,215 @@ def test_minimal_cover_decides_like_the_bounded_family_and_all_covers():
             assert ok == all_covers_sheaf_check(f), (space, k)
     assert axioms["identity"] >= 100 and axioms["gluing"] >= 100, axioms
     assert oracle_runs >= 500, oracle_runs
+
+
+# --- oracle: the two presheaf-law copies that presheaf_law_failures replaced
+
+def reference_group_law_failures(space, domain, sections, restrictions):
+    """make_presheaf with functoriality_failures as they were before the
+    shared checker: the problems of the first failing stage, [] if none."""
+    needed = ps.opens_below(space, domain)
+    problems = []
+    for o in needed:
+        if o not in sections:
+            problems.append(f"missing sections over {sorted(o)}")
+    if problems:
+        return problems
+    for u in needed:
+        for v in needed:
+            if v <= u:
+                h = restrictions.get((u, v))
+                if h is None:
+                    problems.append(f"missing restriction {sorted(u)} -> {sorted(v)}")
+                    continue
+                if h.dom != sections[u] or h.cod != sections[v]:
+                    problems.append(f"restriction {sorted(u)} -> {sorted(v)} has wrong endpoints")
+                elif not ab.is_well_defined(h):
+                    problems.append(f"restriction {sorted(u)} -> {sorted(v)} not well-defined")
+    if problems:
+        return problems
+    f = ps.Presheaf(space, domain, sections, restrictions)
+    opens = f.opens()
+    for u in opens:
+        if not ab.same_hom(f.res(u, u), ab.id_hom(f.group(u))):
+            problems.append(f"restriction on {sorted(u)} is not the identity")
+    for u in opens:
+        for v in opens:
+            if not v <= u or v == u:
+                continue
+            for w in opens:
+                if not w <= v or w == v:
+                    continue
+                lhs = ab.compose_hom(f.res(v, w), f.res(u, v))
+                if not ab.same_hom(lhs, f.res(u, w)):
+                    problems.append(f"composite {sorted(u)} -> {sorted(v)} -> {sorted(w)} disagrees")
+    return problems
+
+
+def reference_ring_law_failures(top, sections, restr):
+    """The law loops of make_ringed_space before the shared checker."""
+    problems = []
+    opens = top.sorted_opens()
+    for o in opens:
+        if o not in sections:
+            problems.append(f"missing sections over {sorted(o)}")
+    if problems:
+        return problems
+    for u in opens:
+        for v in opens:
+            if not v <= u:
+                continue
+            h = restr.get((u, v))
+            if h is None:
+                problems.append(f"missing restriction {sorted(u)} -> {sorted(v)}")
+            elif h.dom != sections[u] or h.cod != sections[v]:
+                problems.append(f"restriction {sorted(u)} -> {sorted(v)} has wrong endpoints")
+            elif not rg.is_ring_hom(h):
+                problems.append(f"restriction {sorted(u)} -> {sorted(v)} is not a ring hom")
+    if problems:
+        return problems
+    for u in opens:
+        if restr[(u, u)].assign != tuple(sections[u].elements()):
+            problems.append(f"restriction on {sorted(u)} is not the identity")
+    for u in opens:
+        for v in opens:
+            if not v <= u or v == u:
+                continue
+            for w in opens:
+                if not w <= v or w == v:
+                    continue
+                lhs = rg.compose_ring_hom(restr[(v, w)], restr[(u, v)])
+                if lhs != restr[(u, w)]:
+                    problems.append(f"composite {sorted(u)} -> {sorted(v)} -> {sorted(w)} disagrees")
+    return problems
+
+
+def in_checker_words(problem):
+    """The old copies named a non-homomorphism in their own words."""
+    for old in (" not well-defined", " is not a ring hom"):
+        if problem.endswith(old):
+            return problem[: -len(old)] + " is not a homomorphism"
+    return problem
+
+
+def checker_failures(build):
+    try:
+        build()
+    except ValidationError as exc:
+        return str(exc).split("; ")
+    return []
+
+
+def single_corruptions(rng, opens, restrictions, wrong_cod, non_hom, non_identity, changed):
+    """(kind, table) for the five single-entry corruptions of a valid
+    restriction table that this table has a spot for.  ``wrong_cod(h)`` and
+    ``non_hom(h)`` replace a restriction, ``non_identity(u)`` is an
+    endomorphism of the sections over u other than the identity, and
+    ``changed(w, h)`` is a homomorphism with h's endpoints other than h;
+    each gives None where it has none."""
+
+    def replaced(key, h):
+        return {**restrictions, key: h}
+
+    keys = sorted(restrictions, key=lambda k: (sorted(k[0]), sorted(k[1])))
+    key = rng.choice(keys)
+    out = [("removed", {k: h for k, h in restrictions.items() if k != key}),
+           ("wrong_endpoint", replaced(key, wrong_cod(restrictions[key])))]
+    spots = [(k, non_hom(restrictions[k])) for k in keys]
+    spots = [spot for spot in spots if spot[1] is not None]
+    if spots:
+        out.append(("non_homomorphism", replaced(*rng.choice(spots))))
+    spots = [((u, u), non_identity(u)) for u in opens]
+    spots = [spot for spot in spots if spot[1] is not None]
+    if spots:
+        out.append(("non_identity", replaced(*rng.choice(spots))))
+    spots = [((u, w), changed(w, restrictions[(u, w)]))
+             for u, w in keys if any(w < v < u for v in opens)]
+    spots = [spot for spot in spots if spot[1] is not None]
+    if spots:
+        out.append(("broken_composite", replaced(*rng.choice(spots))))
+    return out
+
+
+def test_presheaf_law_checker_matches_group_oracle():
+    rng = random.Random(808)
+    tried = Counter()
+
+    def non_hom(h):
+        ones = ab.AbHom(h.dom, h.cod, tuple((1,) * h.dom.ambient for _ in range(h.cod.ambient)))
+        return None if ab.is_well_defined(ones) else ones
+
+    def scaled(h):
+        twice = ab.scale_hom(2, h)
+        return None if ab.same_hom(twice, h) else twice
+
+    for _ in range(150):
+        space = random_space(rng)
+        domain = rng.choice([o for o in space.sorted_opens() if o])
+        f = ps.locally_constant_sheaf(space, domain, gen.random_group(rng))
+        opens = f.opens()
+        families = [("valid", f.restrictions)] + single_corruptions(
+            rng, opens, f.restrictions,
+            wrong_cod=lambda h: ab.zero_hom(h.dom, ab.free_group(h.cod.ambient + 1)),
+            non_hom=non_hom,
+            non_identity=lambda u: scaled(ab.id_hom(f.group(u))),
+            changed=lambda w, h: scaled(h),
+        )
+        for kind, restrictions in families:
+            expected = reference_group_law_failures(space, domain, f.sections, restrictions)
+            got = checker_failures(lambda: ps.make_presheaf(space, domain, f.sections, restrictions))
+            assert got == [in_checker_words(p) for p in expected], kind
+            assert bool(got) == (kind != "valid"), kind
+            tried[kind] += 1
+    assert len(tried) == 6 and min(tried.values()) >= 20, tried
+
+
+def component_swap(space, base, u):
+    """Swap the first two components of the locally constant ring over u,
+    ``product_ring([base] * k)``; None when u has fewer than two."""
+    k = len(ft.components_of_open(space, u))
+    if k < 2 or base.order < 2:
+        return None
+    tuples = list(iproduct(base.elements(), repeat=k))
+    index = {t: e for e, t in enumerate(tuples)}
+    ring = rg.product_ring([base] * k)[0]
+    return rg.RingHom(ring, ring, tuple(index[(t[1], t[0], *t[2:])] for t in tuples))
+
+
+def test_presheaf_law_checker_matches_ring_oracle():
+    rng = random.Random(809)
+    tried = Counter()
+    instances = 0
+    while instances < 100:
+        space = random_space(rng)
+        if any(len(ft.components_of_open(space, o)) > 3 for o in space.opens):
+            continue
+        instances += 1
+        base = rg.zmod(rng.choice([2, 3]))
+        ringed = gen.locally_constant_ringed(space, base)
+        opens = space.sorted_opens()
+
+        def non_hom(h):
+            if h.cod.order < 2:
+                return None
+            return rg.RingHom(h.dom, h.cod, (h.cod.zero,) * h.dom.order)
+
+        def changed(w, h):
+            swap = component_swap(space, base, w)
+            moved = swap and rg.compose_ring_hom(swap, h)
+            return moved if moved != h else None
+
+        families = [("valid", ringed.restr)] + single_corruptions(
+            rng, opens, ringed.restr,
+            wrong_cod=lambda h: rg.RingHom(h.dom, rg.zmod(h.cod.order + 1), h.assign),
+            non_hom=non_hom,
+            non_identity=lambda u: component_swap(space, base, u),
+            changed=changed,
+        )
+        for kind, restr in families:
+            expected = reference_ring_law_failures(space, ringed.sections, restr)
+            got = checker_failures(lambda: rgl.make_ringed_space(space, ringed.sections, restr, check_sheaf=False))
+            assert got == [in_checker_words(p) for p in expected], kind
+            assert bool(got) == (kind != "valid"), kind
+            tried[kind] += 1
+    assert len(tried) == 6 and min(tried.values()) >= 20, tried

@@ -323,7 +323,7 @@ def test_sch_variant_unsupported():
     with pytest.raises(UnsupportedFeature, match="unsupported"):
         rgl.glue_ringed(g)
     with pytest.raises(UnsupportedFeature):
-        rgl.verify_ringed_glued(None, {}, {}, g)
+        rgl.verify_ringed_glued(None, {}, {}, g, None)
 
 
 def test_induced_functors_valid():

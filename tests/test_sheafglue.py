@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -45,7 +46,7 @@ def test_single_chart_functor():
     cover = (base.full(),)
     sheaves = (ps.locally_constant_sheaf(base, base.full(), Z),)
     data = sg.SheafGluingData(base, cover, sheaves, {})
-    functor = sg.sheaf_functor_from_data(data, require_sheaves=True)
+    functor = sg.sheaf_functor_from_data(data)
     lim = sg.build_limit_sheaf(functor)
     # the limit is the chart itself up to canonical isomorphism
     for v in lim.carrier.opens():
@@ -54,7 +55,7 @@ def test_single_chart_functor():
 
 def test_two_origins_data_functor_and_limit():
     data = two_origins_sheaf_data()
-    functor = sg.sheaf_functor_from_data(data, require_sheaves=True)
+    functor = sg.sheaf_functor_from_data(data)
     lim = sg.build_limit_sheaf(functor)
     # pairs (s1, s2) agreeing over the shared open point: a copy of Z
     assert ab.invariants(lim.carrier.group(data.base.full())) == (1, ())
@@ -111,7 +112,7 @@ def test_disjoint_cover_gives_direct_sum():
     cover = (frozenset({0}), frozenset({1}))
     sheaves = tuple(ps.locally_constant_sheaf(base, c, Z) for c in cover)
     data = sg.SheafGluingData(base, cover, sheaves, identity_transitions(base, cover, sheaves))
-    functor = sg.sheaf_functor_from_data(data, require_sheaves=True)
+    functor = sg.sheaf_functor_from_data(data)
     lim = sg.build_limit_sheaf(functor)
     assert ab.invariants(lim.carrier.group(base.full())) == (2, ())
     assert ps.is_sheaf(lim.carrier) == (True, None)
@@ -240,7 +241,7 @@ def test_sheaf_recovery_sanity_law():
     cover = (frozenset({0, 1}), base.full())
     charts = tuple(ps.restrict_presheaf(sheaf, c) for c in cover)
     data = sg.SheafGluingData(base, cover, charts, identity_transitions(base, cover, charts))
-    functor = sg.sheaf_functor_from_data(data, require_sheaves=True)
+    functor = sg.sheaf_functor_from_data(data)
     lim = sg.build_limit_sheaf(functor)
     legs = {}
     for a, lim_leg in lim.legs.items():
@@ -263,10 +264,8 @@ def test_random_sheaf_roundtrip_and_limits():
     for _ in range(8):
         base, cover, charts, transitions, _ = gen.random_sheaf_data(rng)
         data = sg.SheafGluingData(base, tuple(cover), charts, transitions)
-        functor = sg.sheaf_functor_from_data(data, require_sheaves=True)
-        back = sg.data_from_sheaf_functor(functor)
-        assert back.base == data.base and back.cover == data.cover
-        assert back.sheaves is data.sheaves and back.transitions is data.transitions
+        functor = sg.sheaf_functor_from_data(data)
+        assert functor is data
         lim = sg.build_limit_sheaf(functor)
         assert ps.is_sheaf(lim.carrier)[0]
         assert sg.verify_sheaf_glued(lim.carrier, lim.legs, functor, lim)["verdict"]
@@ -357,3 +356,64 @@ def test_generator_cone_check_matches_all_morphism_oracle():
             assert verdict or k > 0
             non_cones += not verdict
     assert non_cones >= 300
+
+
+# --- oracle: the inverse and cocycle loops the generator relations replaced
+
+def reference_transition_law_failures(data):
+    """The inverse and cocycle loops sheaf_functor_from_data ran before the
+    generator relations ``inverse_pair`` and ``triple_composition`` were
+    the only check of those laws."""
+    problems = []
+    for i, j in permutations(range(data.n), 2):
+        fwd, bwd = data.transitions[(i, j)], data.transitions[(j, i)]
+        for w in fwd.dom.opens():
+            comp = ab.compose_hom(bwd.components[w], fwd.components[w])
+            if not ab.same_hom(comp, ab.id_hom(fwd.dom.group(w))):
+                problems.append(f"transitions ({i},{j}),({j},{i}) are not mutually inverse at {sorted(w)}")
+    for i, j, k in permutations(range(data.n), 3):
+        zone = data.cover[i] & data.cover[j] & data.cover[k]
+        for w in ps.opens_below(data.base, zone):
+            lhs = ab.compose_hom(
+                data.transitions[(j, k)].components[w],
+                data.transitions[(i, j)].components[w],
+            )
+            if not ab.same_hom(lhs, data.transitions[(i, k)].components[w]):
+                problems.append(f"cocycle fails at ({i},{j},{k}) on {sorted(w)}")
+    return problems
+
+
+def negated(transitions, keys):
+    """The transitions with every component of those at ``keys`` negated:
+    each stays a natural isomorphism."""
+    out = dict(transitions)
+    for key in keys:
+        iso = out[key]
+        out[key] = ps.NatIso(iso.dom, iso.cod, {w: ab.scale_hom(-1, h) for w, h in iso.components.items()})
+    return out
+
+
+def test_generator_relations_match_inverse_and_cocycle_oracle():
+    rng = random.Random(7)
+    failures = {"one_negated": 0, "mirror_pair_negated": 0}
+    for _ in range(150):
+        base, cover, charts, transitions, _ = gen.random_sheaf_data(rng, max_charts=3, max_rank=2)
+        families = {"unchanged": transitions}
+        if transitions:
+            i, j = rng.choice(sorted(transitions))
+            families["one_negated"] = negated(transitions, [(i, j)])
+            families["mirror_pair_negated"] = negated(transitions, [(i, j), (j, i)])
+        for family, trans in families.items():
+            data = sg.SheafGluingData(base, tuple(cover), charts, trans)
+            expected = reference_transition_law_failures(data)
+            try:
+                sg.sheaf_functor_from_data(data)
+                raised = False
+            except ValidationError:
+                raised = True
+            assert raised == bool(expected), (family, expected)
+            if family in failures:
+                failures[family] += raised
+            else:
+                assert not raised
+    assert min(failures.values()) >= 30, failures

@@ -424,7 +424,7 @@ def test_roundtrip_on_random_instances():
     for _ in range(40):
         g = gen.random_top_functor(rng)
         d = tg.data_from_functor(g)
-        g2 = tg.functor_from_data(d, validate=False)
+        g2 = tg.functor_from_data(d)
         assert g2.objects == g.objects and g2.arrows == g.arrows
         d2 = tg.data_from_functor(g2)
         assert d2.spaces == d.spaces and d2.overlaps == d.overlaps
