@@ -2,20 +2,22 @@
 
 A ringed space is a finite space with one table ring per open and ring-hom
 restrictions satisfying the presheaf laws (``presheaves.presheaf_law_failures``
-with the ring operations) and the sheaf axioms (decided by enumeration, which
-on table rings is the identity-and-gluing condition verbatim).  Gluing input
-is the classical chart form: ringed charts, overlap opens inside each
-chart, and transition isomorphisms stored as transports from chart to
-chart.  The glued object pairs the topological standard representative
-with the compatible-family structure sheaf, and the executed stalk laws
-are falsification checks, not input validation.
+with the ring operations) and the sheaf axioms (the identity-and-gluing
+condition on the minimal cover of each open).  Gluing input is the
+classical chart form: ringed charts, overlap opens inside each chart, and
+transition isomorphisms stored as transports from chart to chart.  The
+glued object pairs the topological standard representative with the
+compatible-family structure sheaf, and the executed stalk laws are
+falsification checks, not input validation.  Both the gluing axiom and the
+glued sections enumerate compatible families with one join
+(``compatible_families``), whose work follows the families kept.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations, permutations, product as iproduct
+from itertools import combinations, permutations
 
 from . import fintop as ft
 from . import rings as rg
@@ -60,36 +62,61 @@ def make_ringed_space(top: FinSpace, sections, restr, check_sheaf: bool = True) 
     return space
 
 
+def compatible_families(orders, agreements) -> list[tuple[int, ...]]:
+    """The tuples x, with x[a] < orders[a], that satisfy fa[x[a]] == fb[x[b]]
+    for every (a, b, fa, fb) in ``agreements``, in lexicographic order.
+
+    Built one factor at a time: factor j's elements are keyed by their
+    values under every agreement between j and an earlier factor, in
+    either direction, and each partial family is extended with one
+    lookup.  So the work follows the families kept, and more than
+    ``_SECTION_PRODUCT_CAP`` of them is refused."""
+    families: list[tuple[int, ...]] = [()]
+    for j, order in enumerate(orders):
+        own, earlier = [], []
+        for a, b, fa, fb in agreements:
+            if b == j and a < j:
+                own.append(fb)
+                earlier.append((a, fa))
+            elif a == j and b < j:
+                own.append(fa)
+                earlier.append((b, fb))
+        extensions: dict[tuple[int, ...], list[int]] = {}
+        for x in range(order):
+            extensions.setdefault(tuple(f[x] for f in own), []).append(x)
+        families = [
+            family + (x,)
+            for family in families
+            for x in extensions.get(tuple(f[family[a]] for a, f in earlier), ())
+        ]
+        if len(families) > _SECTION_PRODUCT_CAP:
+            raise ValidationError(
+                f"sections too large to enumerate: more than {_SECTION_PRODUCT_CAP} compatible families"
+            )
+    return families
+
+
 def ring_sheaf_failures(space: RingedSpace) -> list[str]:
     """Identity and gluing axioms on the minimal cover of each open
-    (``fintop.minimal_cover``), decided by direct enumeration of sections."""
+    (``fintop.minimal_cover``): restriction to the cover is injective, and
+    every compatible family on the cover is a restricted section."""
     if space.sections[frozenset()].order != 1:
         return ["sections over the empty set are not the zero ring"]
     for v in space.top.sorted_opens():
         cover = minimal_cover(space.top, v)
         if len(cover) < 2:
             continue
-        restricted = set()
-        for s in space.ring(v).elements():
-            key = tuple(space.res(v, c)(s) for c in cover)
-            if key in restricted:
-                return [f"identity axiom fails over {sorted(v)}"]
-            restricted.add(key)
-        size = 1
-        for c in cover:
-            size *= space.ring(c).order
-        if size > _SECTION_PRODUCT_CAP:
-            raise ValidationError("cover section product too large to enumerate")
-        overlaps = []
-        for a in range(len(cover)):
-            for b in range(a + 1, len(cover)):
-                inter = cover[a] & cover[b]
-                overlaps.append((a, b, space.res(cover[a], inter), space.res(cover[b], inter)))
-        for combo in iproduct(*(space.ring(c).elements() for c in cover)):
-            if combo in restricted:
-                continue
-            if all(ra(combo[a]) == rb(combo[b]) for a, b, ra, rb in overlaps):
-                return [f"gluing axiom fails over {sorted(v)}"]
+        maps = [space.res(v, c).assign for c in cover]
+        restricted = set(zip(*maps))
+        if len(restricted) < space.ring(v).order:
+            return [f"identity axiom fails over {sorted(v)}"]
+        agreements = [
+            (a, b, space.res(ca, ca & cb).assign, space.res(cb, ca & cb).assign)
+            for (a, ca), (b, cb) in combinations(enumerate(cover), 2)
+        ]
+        families = compatible_families([space.ring(c).order for c in cover], agreements)
+        if any(family not in restricted for family in families):
+            return [f"gluing axiom fails over {sorted(v)}"]
     return []
 
 
@@ -456,6 +483,30 @@ class GluedRinged:
     top_functor: tg.TopGluingFunctor
 
 
+def glued_families(g: RingedGluingFunctor, pre) -> list[tuple[int, ...]]:
+    """Sections of the glued space over an open whose preimage in chart i
+    is ``pre[i]``: the tuples of chart sections that agree on every
+    overlap, through the transport (i, j) for each ordered pair."""
+    agreements = []
+    for i, j in permutations(range(g.n), 2):
+        w = pre[i] & g.overlaps[(i, j)]
+        there = g.transport(i, j, w).assign
+        here = g.charts[i].res(pre[i], w).assign
+        mirror = g.charts[j].res(pre[j], g.top_image(i, j, w)).assign
+        agreements.append((i, j, tuple(there[x] for x in here), mirror))
+    return compatible_families([g.charts[i].ring(pre[i]).order for i in range(g.n)], agreements)
+
+
+def _family_table(tables, keep, index) -> rg.Table:
+    """A chart-wise operation on the families ``keep``, as a table of
+    their indexes: entry (a, b) is the family of the chart results."""
+    columns = list(zip(*keep))
+    return tuple(
+        tuple(map(index.__getitem__, zip(*(map(t[x].__getitem__, c) for t, x, c in zip(tables, a, columns)))))
+        for a in keep
+    )
+
+
 def glue_ringed(g: RingedGluingFunctor) -> GluedRinged:
     """Standard glued ringed space with its projection pairs.
 
@@ -473,62 +524,34 @@ def glue_ringed(g: RingedGluingFunctor) -> GluedRinged:
     top_legs = {i: rep.iota[single(i)] for i in range(g.n)}
     inv = {i: {v: top_legs[i].preimage_of(v) for v in q.sorted_opens()} for i in range(g.n)}
     members: dict[Open, list[tuple[int, ...]]] = {}
+    indexes: dict[Open, dict[tuple[int, ...], int]] = {}
     sections: dict[Open, rg.FinCommRing] = {}
     for v in q.sorted_opens():
         parts = [g.charts[i].ring(inv[i][v]) for i in range(g.n)]
-        size = 1
-        for r in parts:
-            size *= r.order
-        if size > _SECTION_PRODUCT_CAP:
-            raise ValidationError("glued sections too large to enumerate")
-        keep = []
-        for combo in iproduct(*(r.elements() for r in parts)):
-            ok = True
-            for i, j in permutations(range(g.n), 2):
-                w = inv[i][v] & g.overlaps[(i, j)]
-                lhs = g.transport(i, j, w)(g.charts[i].res(inv[i][v], w)(combo[i]))
-                rhs = g.charts[j].res(inv[j][v], g.top_image(i, j, w))(combo[j])
-                if lhs != rhs:
-                    ok = False
-                    break
-            if ok:
-                keep.append(combo)
-        members[v] = keep
-        index = {t: a for a, t in enumerate(keep)}
-        add = tuple(
-            tuple(
-                index[tuple(parts[i].add[a[i]][b[i]] for i in range(g.n))]
-                for b in keep
-            )
-            for a in keep
-        )
-        mul = tuple(
-            tuple(
-                index[tuple(parts[i].mul[a[i]][b[i]] for i in range(g.n))]
-                for b in keep
-            )
-            for a in keep
-        )
+        keep = members[v] = glued_families(g, [inv[i][v] for i in range(g.n)])
+        index = indexes[v] = {t: a for a, t in enumerate(keep)}
+        add = _family_table([r.add for r in parts], keep, index)
+        mul = _family_table([r.mul for r in parts], keep, index)
         zero = index[tuple(r.zero for r in parts)]
         one = index[tuple(r.one for r in parts)]
         sections[v] = rg.FinCommRing(add, mul, zero, one)
     restr: dict[tuple[Open, Open], rg.RingHom] = {}
     for u in q.sorted_opens():
-        idx_u = {t: a for a, t in enumerate(members[u])}
         for v in q.sorted_opens():
             if not v <= u:
                 continue
-            idx_v = {t: a for a, t in enumerate(members[v])}
+            maps = [g.charts[i].res(inv[i][u], inv[i][v]).assign for i in range(g.n)]
             assign = []
             for t in members[u]:
-                restricted = tuple(
-                    g.charts[i].res(inv[i][u], inv[i][v])(t[i]) for i in range(g.n)
-                )
-                if restricted not in idx_v:
+                restricted = tuple(m[x] for m, x in zip(maps, t))
+                if restricted not in indexes[v]:
                     raise FalsificationError("restriction leaves the compatible families")
-                assign.append(idx_v[restricted])
+                assign.append(indexes[v][restricted])
             restr[(u, v)] = rg.RingHom(sections[u], sections[v], tuple(assign))
-    space = make_ringed_space(q, sections, restr, check_sheaf=False)
+    try:
+        space = make_ringed_space(q, sections, restr, check_sheaf=False)
+    except ValidationError as exc:
+        raise FalsificationError(f"glued structure sheaf failed: {exc}") from exc
     sheaf_failures = ring_sheaf_failures(space)
     if sheaf_failures:
         raise FalsificationError(f"glued structure sheaf failed: {sheaf_failures}")

@@ -1,14 +1,31 @@
 """Finite commutative rings with unity as explicit operation tables.
 
-Everything is decided by enumeration: ring axioms, unit groups, locality,
-homomorphism conditions.  A conversion of the additive group of a table
-ring into a finitely generated abelian-group presentation bridges into the
-integer-matrix machinery.
+Ring axioms, unit groups, locality and homomorphism conditions are decided
+exactly on the tables.  The laws that quantify over triples, and the
+homomorphism conditions, are decided on the additive generators
+(``FinCommRing.additive_generators``), because each law holds on a set
+that is closed under +:
+
+- associativity of +: the elements g with (x+y)+g = x+(y+g) for all x, y
+  (Light's argument);
+- distributivity: the elements g with a·(b+g) = a·b + a·g for all a, b,
+  once + is associative;
+- associativity of ·: the elements g with (a·b)·g = a·(b·g) for all a, b,
+  once · distributes;
+- a map of rings f: the elements g with f(g+b) = f(g)+f(b) for all b, and
+  then, f being additive, those with f(g·b) = f(g)·f(b).
+
+Zero is a sum of generators in a finite group, so those sets are
+everything.  ``make_ring`` thus costs O(q²·|G|) and ``is_ring_hom``
+O(q·|G|), with |G| ≤ log₂ q.  A conversion of the additive group of a
+table ring into a finitely generated abelian-group presentation bridges
+into the integer-matrix machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 
 from . import abgroups as ab
@@ -31,6 +48,40 @@ class FinCommRing:
 
     def elements(self) -> range:
         return range(self.order)
+
+    @cached_property
+    def additive_generators(self) -> tuple[int, ...]:
+        """Elements whose right-appended sums (((g1+g2)+g3)+...) reach every
+        element, in O(q·|G|): the span of {zero} grows by right-adding
+        generators, and each element it has not reached becomes the next
+        one.  Sound for any table with identity zero, before associativity
+        is known.  Zero is a generator only of the zero ring, which has no
+        nonempty sum of other elements."""
+        add = self.add
+        reached = [False] * self.order
+        reached[self.zero] = True
+        span = [self.zero]
+        gens: list[int] = []
+        for a in self.elements():
+            if reached[a]:
+                continue
+            gens.append(a)
+            # the old span is closed under the old generators, so it needs
+            # only the new one; the elements it reaches need every generator
+            fresh = []
+            for s in span:
+                t = add[s][a]
+                if not reached[t]:
+                    reached[t] = True
+                    fresh.append(t)
+            for s in fresh:
+                for g in gens:
+                    t = add[s][g]
+                    if not reached[t]:
+                        reached[t] = True
+                        fresh.append(t)
+            span += fresh
+        return tuple(gens) or (self.zero,)
 
     def __repr__(self):
         return f"FinCommRing(order={self.order})"
@@ -68,16 +119,21 @@ def make_ring(add, mul, one: int, zero: int | None = None) -> FinCommRing:
             raise ValidationError(f"unity fails at {a}")
         if not any(add[a][b] == zero for b in range(q)):
             raise ValidationError(f"element {a} has no additive inverse")
+    ring = FinCommRing(add, mul, zero, one)
+    gens = ring.additive_generators
     for a in range(q):
+        add_a, mul_a = add[a], mul[a]
         for b in range(q):
-            for c in range(q):
-                if add[add[a][b]][c] != add[a][add[b][c]]:
-                    raise ValidationError(f"addition not associative at ({a},{b},{c})")
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    raise ValidationError(f"multiplication not associative at ({a},{b},{c})")
-                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                    raise ValidationError(f"distributivity fails at ({a},{b},{c})")
-    return FinCommRing(add, mul, zero, one)
+            add_ab, add_b, mul_b = add[add_a[b]], add[b], mul[b]
+            add_mab, mul_mab = add[mul_a[b]], mul[mul_a[b]]
+            for g in gens:
+                if add_ab[g] != add_a[add_b[g]]:
+                    raise ValidationError(f"addition not associative at ({a},{b},{g})")
+                if mul_a[add_b[g]] != add_mab[mul_a[g]]:
+                    raise ValidationError(f"distributivity fails at ({a},{b},{g})")
+                if mul_mab[g] != mul_a[mul_b[g]]:
+                    raise ValidationError(f"multiplication not associative at ({a},{b},{g})")
+    return ring
 
 
 def zmod(n: int) -> FinCommRing:
@@ -121,11 +177,7 @@ def product_ring(rings) -> tuple[FinCommRing, list[list[int]]]:
 
 
 def units(ring: FinCommRing) -> set[int]:
-    return {
-        a
-        for a in ring.elements()
-        if any(ring.mul[a][b] == ring.one for b in ring.elements())
-    }
+    return {a for a in ring.elements() if ring.one in ring.mul[a]}
 
 
 def is_local_ring(ring: FinCommRing) -> bool:
@@ -134,8 +186,9 @@ def is_local_ring(ring: FinCommRing) -> bool:
     local."""
     if ring.order == 1:
         return False
-    non_units = [a for a in ring.elements() if a not in units(ring)]
-    return all(ring.add[a][b] in non_units for a in non_units for b in non_units)
+    unit_set = units(ring)
+    non_units = [a for a in ring.elements() if a not in unit_set]
+    return all(ring.add[a][b] not in unit_set for a in non_units for b in non_units)
 
 
 @dataclass(frozen=True)
@@ -159,14 +212,16 @@ def make_ring_hom(dom: FinCommRing, cod: FinCommRing, assign) -> RingHom:
 
 
 def is_ring_hom(h: RingHom) -> bool:
+    """Unital, additive and multiplicative, decided on the additive
+    generators of the domain; both ends must be rings."""
     d, c, f = h.dom, h.cod, h.assign
     if f[d.one] != c.one:
         return False
-    for a in d.elements():
+    for g in d.additive_generators:
+        add_g, mul_g = d.add[g], d.mul[g]
+        add_fg, mul_fg = c.add[f[g]], c.mul[f[g]]
         for b in d.elements():
-            if f[d.add[a][b]] != c.add[f[a]][f[b]]:
-                return False
-            if f[d.mul[a][b]] != c.mul[f[a]][f[b]]:
+            if f[add_g[b]] != add_fg[f[b]] or f[mul_g[b]] != mul_fg[f[b]]:
                 return False
     return True
 
@@ -179,7 +234,7 @@ def compose_ring_hom(f: RingHom, g: RingHom) -> RingHom:
     """f after g."""
     if g.cod != f.dom:
         raise ValidationError("compose_ring_hom: endpoint mismatch")
-    return RingHom(g.dom, f.cod, tuple(f.assign[g.assign[a]] for a in g.dom.elements()))
+    return RingHom(g.dom, f.cod, tuple(map(f.assign.__getitem__, g.assign)))
 
 
 def is_ring_iso(h: RingHom) -> bool:

@@ -195,7 +195,10 @@ def build_limit_sheaf(g: SheafGluingData) -> LimitSheaf:
                     "limit-sheaf restriction does not preserve compatibility"
                 )
             restrictions[(u, v)] = fac
-    carrier = ps.make_presheaf(base, base.full(), section_groups, restrictions)
+    try:
+        carrier = ps.make_presheaf(base, base.full(), section_groups, restrictions)
+    except ValidationError as exc:
+        raise FalsificationError(f"limit presheaf failed a presheaf law: {exc}") from exc
     projections = {
         i: {v: ab.compose_hom(part_projs[v][i], inclusions[v]) for v in opens}
         for i in range(g.n)

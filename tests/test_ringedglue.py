@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import combinations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
 
 import pytest
 
@@ -13,7 +13,9 @@ from gluekit import presheaves as ps
 from gluekit import rings as rg
 from gluekit import ringedglue as rgl
 from gluekit import sheafglue as sg
-from gluekit.errors import UnsupportedFeature, ValidationError
+from gluekit import topglue as tg
+from gluekit.errors import FalsificationError, UnsupportedFeature, ValidationError
+from gluekit.indexcat import single
 from test_presheaves import every_cover, irredundant_covers, random_space, random_support
 
 S = ft.sierpinski()
@@ -413,3 +415,136 @@ def test_ring_minimal_cover_decides_like_the_bounded_family_and_all_covers():
             assert (got == []) == (ring_failures_on_covers(ringed, every_cover) == []), (space, k)
     assert axioms["identity"] >= 100 and axioms["gluing"] >= 100, axioms
     assert oracle_runs >= 500, oracle_runs
+
+
+def reference_glued_members(g, pre):
+    """The product filter glue_ringed used before the join: every tuple of
+    chart sections, kept when each ordered pair of charts agrees through
+    its transport."""
+    parts = [g.charts[i].ring(pre[i]) for i in range(g.n)]
+    keep = []
+    for combo in iproduct(*(r.elements() for r in parts)):
+        ok = True
+        for i, j in permutations(range(g.n), 2):
+            w = pre[i] & g.overlaps[(i, j)]
+            lhs = g.transport(i, j, w)(g.charts[i].res(pre[i], w)(combo[i]))
+            rhs = g.charts[j].res(pre[j], g.top_image(i, j, w))(combo[j])
+            if lhs != rhs:
+                ok = False
+                break
+        if ok:
+            keep.append(combo)
+    return keep
+
+
+def scrambled_transports(rng, g):
+    """The same chart data with every transport replaced by a random map of
+    the right type, drawn independently for (i, j) and (j, i)."""
+    transports = {
+        key: {
+            w: rg.RingHom(h.dom, h.cod, tuple(rng.randrange(h.cod.order) for _ in h.dom.elements()))
+            for w, h in comps.items()
+        }
+        for key, comps in g.transports.items()
+    }
+    return rgl.RingedGluingFunctor(g.variant, g.charts, g.overlaps, g.trans_top, transports)
+
+
+def test_compatible_families_match_the_product_filter():
+    rng = random.Random(43)
+    kept = 0
+    for _ in range(400):
+        orders = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+        agreements = []
+        for a, b in permutations(range(len(orders)), 2):
+            if rng.random() < 0.5:
+                m = rng.randint(1, 3)
+                fa = tuple(rng.randrange(m) for _ in range(orders[a]))
+                fb = tuple(rng.randrange(m) for _ in range(orders[b]))
+                agreements.append((a, b, fa, fb))
+        expected = [
+            x for x in iproduct(*(range(o) for o in orders))
+            if all(fa[x[a]] == fb[x[b]] for a, b, fa, fb in agreements)
+        ]
+        assert rgl.compatible_families(orders, agreements) == expected, (orders, agreements)
+        kept += len(expected)
+    assert kept > 1000
+
+
+def test_glued_families_match_the_product_filter():
+    """On valid chart data, and on the same data with transports that are
+    neither homs nor inverse to each other, so that each direction of
+    every overlap matters."""
+    rng = random.Random(47)
+    opens_checked = differing = 0
+    for k in range(200):
+        g = gen.random_ringed_functor(rng, "lrts" if k % 2 == 0 else "rts")
+        rep = tg.standard_representative(rgl.induced_top_functor(g))
+        legs = [rep.iota[single(i)] for i in range(g.n)]
+        bad = scrambled_transports(rng, g)
+        expected = {}
+        for v in rep.space.sorted_opens():
+            pre = [legs[i].preimage_of(v) for i in range(g.n)]
+            expected[v] = reference_glued_members(g, pre)
+            assert rgl.glued_families(g, pre) == expected[v]
+            got = rgl.glued_families(bad, pre)
+            assert got == reference_glued_members(bad, pre)
+            opens_checked += 1
+            differing += got != expected[v]
+        assert rgl.glue_ringed(g).members == expected
+    assert opens_checked >= 500 and differing >= 200, (opens_checked, differing)
+
+
+def discrete_cover_ringed(points, chart_points, base_ring, variant="rts"):
+    """Charts of the discrete space on ``points`` points, one per point
+    set, each with the locally constant ring sheaf; transitions are the
+    identity on shared points."""
+    space = gen.locally_constant_ringed(ft.discrete_space(points), base_ring)
+    charts, local = [], []
+    for pts in chart_points:
+        sub, ambient = rgl.restrict_ringed(space, frozenset(pts))
+        charts.append(sub)
+        local.append({p: k for k, p in enumerate(ambient)})
+    overlaps, trans_top, transports = {}, {}, {}
+    for i, j in permutations(range(len(charts)), 2):
+        shared = set(chart_points[i]) & set(chart_points[j])
+        overlaps[(i, j)] = frozenset(local[i][p] for p in shared)
+        trans_top[(i, j)] = {local[i][p]: local[j][p] for p in shared}
+        transports[(i, j)] = {
+            w: rg.identity_ring_hom(charts[i].ring(w))
+            for w in ps.opens_below(charts[i].top, overlaps[(i, j)])
+        }
+    return rgl.RingedGluingFunctor(variant, tuple(charts), overlaps, trans_top, transports)
+
+
+def test_cap_bounds_the_families_kept_not_the_product(tmp_path, capsys, monkeypatch):
+    """Three 3-point charts of the 4-point discrete space with Z/4: the
+    product over the whole space has 64³ = 262,144 tuples, above the cap,
+    but the glued ring has 4⁴ = 256 elements."""
+    g = discrete_cover_ringed(4, [(0, 1, 2), (1, 2, 3), (0, 2, 3)], rg.zmod(4))
+    code, captured = verify_ringed_document(tmp_path, capsys, g)
+    assert code == 0, captured.err
+    assert json.loads(captured.out)["verdict"] is True
+    monkeypatch.setattr(rgl, "_SECTION_PRODUCT_CAP", 256)
+    glued = rgl.glue_ringed(g)
+    assert glued.space.ring(glued.space.top.full()).order == 256
+    monkeypatch.setattr(rgl, "_SECTION_PRODUCT_CAP", 255)
+    code, captured = verify_ringed_document(tmp_path, capsys, g)
+    assert code == 2
+    assert "too large" in captured.err
+
+
+def test_law_failure_of_the_glued_space_is_a_falsification(tmp_path, capsys, monkeypatch):
+    """The charts have 3 opens each and the glued space 5: failing the
+    presheaf laws only on the latter is a fault of the construction."""
+    real = rgl.presheaf_law_failures
+
+    def fail_on_glued(opens, *args):
+        return ["forced law failure"] if len(opens) == 5 else real(opens, *args)
+
+    monkeypatch.setattr(rgl, "presheaf_law_failures", fail_on_glued)
+    with pytest.raises(FalsificationError, match="forced law failure"):
+        rgl.glue_ringed(two_origins_ringed())
+    code, captured = verify_ringed_document(tmp_path, capsys, two_origins_ringed())
+    assert code == 3
+    assert "forced law failure" in captured.err

@@ -1,14 +1,16 @@
+import os
 import random
 from itertools import permutations
 
 import pytest
 
 from gluekit import abgroups as ab
+from gluekit import cli
 from gluekit import fintop as ft
 from gluekit import generators as gen
 from gluekit import presheaves as ps
 from gluekit import sheafglue as sg
-from gluekit.errors import ValidationError
+from gluekit.errors import FalsificationError, ValidationError
 from gluekit.indexcat import generator_path, index_category, single
 
 Z = ab.free_group(1)
@@ -417,3 +419,21 @@ def test_generator_relations_match_inverse_and_cocycle_oracle():
             else:
                 assert not raised
     assert min(failures.values()) >= 30, failures
+
+
+def test_law_failure_of_the_limit_presheaf_is_a_falsification(capsys, monkeypatch):
+    """The chart sheaves live below their cover opens and the limit on the
+    whole 3-point space: failing the presheaf laws only on the latter is a
+    fault of the construction."""
+    real = ps.presheaf_law_failures
+
+    def fail_on_limit(opens, *args):
+        return ["forced law failure"] if frozenset({0, 1, 2}) in opens else real(opens, *args)
+
+    functor = sg.sheaf_functor_from_data(two_origins_sheaf_data())
+    monkeypatch.setattr(ps, "presheaf_law_failures", fail_on_limit)
+    with pytest.raises(FalsificationError, match="forced law failure"):
+        sg.build_limit_sheaf(functor)
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "two_origins_sheaf.json")
+    assert cli.main(["verify", path]) == 3
+    assert "forced law failure" in capsys.readouterr().err
