@@ -141,7 +141,7 @@ def _ringed_artifacts(g, glued) -> dict:
         "glued_space": ft.space_to_json(glued.space.top),
         "section_orders": {
             jsonio.open_key(v): glued.space.ring(v).order
-            for v in glued.space.top.sorted_opens()
+            for v in glued.space.top.sorted_opens
         },
     }
 

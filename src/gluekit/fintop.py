@@ -33,8 +33,10 @@ class FinSpace:
     def full(self) -> Open:
         return frozenset(range(self.n))
 
-    def sorted_opens(self) -> list[Open]:
-        return sorted(self.opens, key=lambda o: (len(o), sorted(o)))
+    @cached_property
+    def sorted_opens(self) -> tuple[Open, ...]:
+        """The opens by size, then by their sorted points: a total order."""
+        return tuple(sorted(self.opens, key=lambda o: (len(o), sorted(o))))
 
     def __repr__(self):
         return f"FinSpace({self.n}, minimal={[sorted(ux) for ux in self.minimal]})"
@@ -378,7 +380,7 @@ def is_pullback_square(p1, p2, f, g) -> bool:
 
 
 def space_to_json(space: FinSpace) -> dict:
-    return {"points": space.n, "opens": [sorted(o) for o in space.sorted_opens()]}
+    return {"points": space.n, "opens": [sorted(o) for o in space.sorted_opens]}
 
 
 def space_from_json(doc: dict) -> FinSpace:

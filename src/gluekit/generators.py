@@ -33,7 +33,7 @@ def random_space(rng: random.Random, max_points: int = 5, max_opens: int | None 
 
 def random_open_cover(rng: random.Random, space: FinSpace, max_charts: int = 3) -> list[frozenset[int]]:
     n_charts = rng.randint(1, max_charts)
-    nonempty = [o for o in space.sorted_opens() if o] or [space.full()]
+    nonempty = [o for o in space.sorted_opens if o] or [space.full()]
     cover = [rng.choice(nonempty) for _ in range(n_charts)]
     union = frozenset().union(*cover)
     if union != space.full():
@@ -185,7 +185,7 @@ def random_hom(rng: random.Random, dom: ab.FgAbGroup, cod: ab.FgAbGroup, tries: 
     return ab.zero_hom(dom, cod)
 
 
-def natural_automorphism(rng: random.Random, f: ps.Presheaf, base_group: ab.FgAbGroup) -> ps.NatIso:
+def natural_automorphism(rng: random.Random, f: ps.Presheaf, base_group: ab.FgAbGroup) -> ps.EnrichedMorphism:
     """Natural automorphism of a locally constant presheaf: one unimodular
     twist per component of the domain, routed to every smaller open."""
     domain_comps = ft.components_of_open(f.space, f.domain)
@@ -206,7 +206,7 @@ def natural_automorphism(rng: random.Random, f: ps.Presheaf, base_group: ab.FgAb
                     row[bi * g_amb + c] = block[r][c]
                 rows.append(tuple(row))
         components[o] = ab.AbHom(f.group(o), f.group(o), tuple(rows) if rows else ())
-    return ps.NatIso(f, f, components)
+    return ps.EnrichedMorphism(f, f, components)
 
 
 def random_sheaf_data(rng: random.Random, max_points: int = 4, max_charts: int = 3, max_rank: int = 1):
@@ -230,8 +230,8 @@ def random_sheaf_data(rng: random.Random, max_points: int = 4, max_charts: int =
             {o: restricted.group(o) for o in restricted.opens()},
             {
                 (u, v): ab.compose_hom(
-                    theta.components[v],
-                    ab.compose_hom(restricted.res(u, v), ab.inverse_hom(theta.components[u])),
+                    theta.alpha[v],
+                    ab.compose_hom(restricted.res(u, v), ab.inverse_hom(theta.alpha[u])),
                 )
                 for u in restricted.opens()
                 for v in restricted.opens()
@@ -241,21 +241,14 @@ def random_sheaf_data(rng: random.Random, max_points: int = 4, max_charts: int =
         charts.append(twisted)
         twists.append(theta)
     transitions = {}
-    for i in range(len(cover)):
-        for j in range(len(cover)):
-            if i == j:
-                continue
-            overlap = cover[i] & cover[j]
-            comps = {}
-            for o in ps.opens_below(space, overlap):
-                comps[o] = ab.compose_hom(
-                    twists[j].components[o], ab.inverse_hom(twists[i].components[o])
-                )
-            transitions[(i, j)] = ps.NatIso(
-                ps.restrict_presheaf(charts[i], overlap),
-                ps.restrict_presheaf(charts[j], overlap),
-                comps,
-            )
+    for i, j in permutations(range(len(cover)), 2):
+        overlap = cover[i] & cover[j]
+        comps = {}
+        for o in ps.opens_below(space, overlap):
+            comps[o] = ab.compose_hom(twists[j].alpha[o], ab.inverse_hom(twists[i].alpha[o]))
+        transitions[(i, j)] = ps.EnrichedMorphism(
+            ps.restrict_presheaf(charts[i], overlap), ps.restrict_presheaf(charts[j], overlap), comps
+        )
     return space, cover, tuple(charts), transitions, base_group
 
 
@@ -267,7 +260,7 @@ def locally_constant_ringed(space, base_ring):
     from . import rings as rgs
     from . import ringedglue as rgl
 
-    opens = space.sorted_opens()
+    opens = space.sorted_opens
     comps = {o: ft.components_of_open(space, o) for o in opens}
     ring_cache: dict[int, tuple] = {}
 

@@ -253,7 +253,7 @@ def _parse_sheaf(doc) -> sg.SheafGluingData:
         missing = [o for o in dom.opens() if o not in comps]
         if missing:
             _fail(f"/transitions/{key}", f"missing component at {sorted(missing[0])}")
-        transitions[(i, j)] = ps.NatIso(dom, cod, comps)
+        transitions[(i, j)] = ps.EnrichedMorphism(dom, cod, comps)
     return sg.SheafGluingData(base, tuple(cover), tuple(sheaves), transitions)
 
 
@@ -274,7 +274,7 @@ def sheaf_data_to_document(data: sg.SheafGluingData) -> dict:
         doc["sheaves"].append(sh_doc)
     for (i, j), iso in sorted(data.transitions.items()):
         doc["transitions"][f"{i},{j}"] = {
-            open_key(o): [list(r) for r in h.matrix] for o, h in sorted(iso.components.items(), key=lambda kv: open_key(kv[0]))
+            open_key(o): [list(r) for r in h.matrix] for o, h in sorted(iso.alpha.items(), key=lambda kv: open_key(kv[0]))
         }
     return doc
 
@@ -361,7 +361,7 @@ def ringed_functor_to_document(g: rgl.RingedGluingFunctor) -> dict:
            "overlaps": {}, "transitions": {}}
     for chart in g.charts:
         ch = {"space": ft.space_to_json(chart.top), "sections": {}, "restrictions": {}}
-        for o in chart.top.sorted_opens():
+        for o in chart.top.sorted_opens:
             ch["sections"][open_key(o)] = rid(chart.ring(o))
         for (u, v), h in sorted(chart.restr.items(), key=lambda kv: (open_key(kv[0][0]), open_key(kv[0][1]))):
             ch["restrictions"][f"{open_key(u)}>{open_key(v)}"] = list(h.assign)

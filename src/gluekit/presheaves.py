@@ -2,11 +2,15 @@
 
 A presheaf lives on an open ``domain`` of an ambient space and stores one
 group per open below the domain together with every restriction hom.  The
-presheaf laws are checked in one place, ``presheaf_law_failures``, for any
-kind of sections: ``make_presheaf`` passes the group operations and
-``ringedglue.make_ringed_space`` the ring ones.  The sheaf condition is
-decided through equalizers on one cover per open, its minimal cover: the
-canonical map into the compatible-family subgroup must be an isomorphism.
+presheaf laws are checked in one place, ``presheaf_law_failures``, and the
+naturality squares of a morphism in another, ``naturality_failures``; both
+take the section operations as arguments, so ``make_presheaf`` and
+``check_enriched_morphism`` pass the group ones and ``ringedglue`` the
+ring ones.  ``EnrichedMorphism`` is the one morphism type: a natural
+transformation on one domain is the case whose open part is the identity.
+The sheaf condition is decided through equalizers on one cover per open,
+its minimal cover: the canonical map into the compatible-family subgroup
+must be an isomorphism.
 
 Convention: sections over the empty set form the trivial group.
 """
@@ -41,9 +45,7 @@ class Presheaf:
 
 def opens_below(space: FinSpace, domain: Open) -> list[Open]:
     domain = frozenset(domain)
-    return sorted(
-        (o for o in space.opens if o <= domain), key=lambda o: (len(o), sorted(o))
-    )
+    return [o for o in space.sorted_opens if o <= domain]
 
 
 def presheaf_law_failures(opens, sections, restrictions, is_hom, compose, same, identity) -> list[str]:
@@ -86,6 +88,30 @@ def presheaf_law_failures(opens, sections, restrictions, is_hom, compose, same, 
                 if not same(composite, restrictions[(u, w)]):
                     problems.append(f"composite {sorted(u)} -> {sorted(v)} -> {sorted(w)} disagrees")
     return problems
+
+
+def naturality_failures(opens, image, component, dom_res, cod_res, compose, same) -> list[tuple[Open, Open]]:
+    """The naturality squares over ``opens`` that fail, for any kind of
+    sections.  ``component(w)`` runs from the domain's sections over w to
+    the codomain's over ``image(w)``; the square of v below u commutes when
+    ``cod_res(image(u), image(v))`` after ``component(u)`` equals
+    ``component(v)`` after ``dom_res(u, v)``.  ``compose(f, g)`` is f after
+    g and ``same`` compares homs, as in ``presheaf_law_failures``.
+
+    Returns the failing squares (u, v) with v < u, in the order of
+    ``opens``.  The square with v = u is not checked: both of its
+    restrictions are identities by the identity law, which both ends
+    already satisfy, so it commutes.
+    """
+    images = {w: image(w) for w in opens}
+    failures = []
+    for u in opens:
+        for v in opens:
+            if v < u and not same(
+                compose(cod_res(images[u], images[v]), component(u)), compose(component(v), dom_res(u, v))
+            ):
+                failures.append((u, v))
+    return failures
 
 
 def make_presheaf(space: FinSpace, domain, sections, restrictions) -> Presheaf:
@@ -198,7 +224,8 @@ def locally_constant_sheaf(space: FinSpace, domain, group: ab.FgAbGroup) -> Pres
 @dataclass
 class EnrichedMorphism:
     """Morphism (U, F) -> (V, G) with V below U: an open part and a family
-    alpha_W: F(W) -> G(W ∩ V) over the opens W below U."""
+    alpha_W: F(W) -> G(W ∩ V) over the opens W below U.  With V = U the open
+    part is the identity and the family is a natural transformation."""
 
     dom: Presheaf
     cod: Presheaf
@@ -213,7 +240,8 @@ def identity_enriched(f: Presheaf) -> EnrichedMorphism:
 
 
 def check_enriched_morphism(m: EnrichedMorphism) -> tuple[bool, list[dict]]:
-    """Exhaustive check of the defining naturality squares."""
+    """Exhaustive check of the components' endpoints, then of the
+    naturality squares (``naturality_failures``)."""
     failures = []
     u, v = m.dom.domain, m.cod.domain
     if not v <= u:
@@ -224,19 +252,14 @@ def check_enriched_morphism(m: EnrichedMorphism) -> tuple[bool, list[dict]]:
         h = m.alpha.get(w)
         if h is None:
             failures.append({"open": sorted(w), "error": "missing component"})
-            continue
-        if h.dom != m.dom.group(w) or h.cod != m.cod.group(w & v):
+        elif h.dom != m.dom.group(w) or h.cod != m.cod.group(w & v):
             failures.append({"open": sorted(w), "error": "wrong endpoints"})
     if failures:
         return False, failures
-    for w in m.dom.opens():
-        for w2 in m.dom.opens():
-            if not w2 <= w or w2 == w:
-                continue
-            lhs = ab.compose_hom(m.cod.res(w & v, w2 & v), m.alpha[w])
-            rhs = ab.compose_hom(m.alpha[w2], m.dom.res(w, w2))
-            if not ab.same_hom(lhs, rhs):
-                failures.append({"square": (sorted(w), sorted(w2))})
+    squares = naturality_failures(
+        m.dom.opens(), lambda w: w & v, m.alpha.__getitem__, m.dom.res, m.cod.res, ab.compose_hom, ab.same_hom
+    )
+    failures = [{"square": (sorted(w), sorted(w2))} for w, w2 in squares]
     return not failures, failures
 
 
@@ -259,57 +282,15 @@ def same_enriched(m1: EnrichedMorphism, m2: EnrichedMorphism) -> bool:
     return all(ab.same_hom(m1.alpha[w], m2.alpha[w]) for w in m1.dom.opens())
 
 
-@dataclass
-class NatIso:
-    """Per-open isomorphism between presheaves on the same domain."""
-
-    dom: Presheaf
-    cod: Presheaf
-    components: dict[Open, ab.AbHom]
-
-    def component(self, w) -> ab.AbHom:
-        return self.components[frozenset(w)]
-
-
-def check_nat_iso(iso: NatIso) -> tuple[bool, list[str]]:
-    problems = []
-    if iso.dom.domain != iso.cod.domain or iso.dom.space != iso.cod.space:
-        return False, ["domains differ"]
-    for w in iso.dom.opens():
-        h = iso.components.get(w)
-        if h is None:
-            problems.append(f"missing component at {sorted(w)}")
-            continue
-        if h.dom != iso.dom.group(w) or h.cod != iso.cod.group(w):
-            problems.append(f"wrong endpoints at {sorted(w)}")
-        elif not ab.is_iso(h):
-            problems.append(f"component at {sorted(w)} is not an isomorphism")
-    if problems:
-        return False, problems
-    for w in iso.dom.opens():
-        for w2 in iso.dom.opens():
-            if not w2 <= w or w2 == w:
-                continue
-            lhs = ab.compose_hom(iso.cod.res(w, w2), iso.components[w])
-            rhs = ab.compose_hom(iso.components[w2], iso.dom.res(w, w2))
-            if not ab.same_hom(lhs, rhs):
-                problems.append(f"naturality fails for {sorted(w)} -> {sorted(w2)}")
-    return not problems, problems
-
-
-def inverse_nat_iso(iso: NatIso) -> NatIso:
-    comps = {}
-    for w, h in iso.components.items():
+def inverse_enriched(m: EnrichedMorphism) -> EnrichedMorphism:
+    """The inverse of a natural isomorphism: a morphism whose open part is
+    the identity and whose every component is invertible."""
+    if m.dom.domain != m.cod.domain:
+        raise ValidationError("only a morphism with the identity open part can be inverted")
+    alpha = {}
+    for w, h in m.alpha.items():
         inv = ab.inverse_hom(h)
         if inv is None:
             raise ValidationError(f"component at {sorted(w)} is not invertible")
-        comps[w] = inv
-    return NatIso(iso.cod, iso.dom, comps)
-
-
-def compose_nat_iso(i2: NatIso, i1: NatIso) -> NatIso:
-    return NatIso(
-        i1.dom,
-        i2.cod,
-        {w: ab.compose_hom(i2.components[w], i1.components[w]) for w in i1.components},
-    )
+        alpha[w] = inv
+    return EnrichedMorphism(m.cod, m.dom, alpha)

@@ -3,13 +3,15 @@
 A ringed space is a finite space with one table ring per open and ring-hom
 restrictions satisfying the presheaf laws (``presheaves.presheaf_law_failures``
 with the ring operations) and the sheaf axioms (the identity-and-gluing
-condition on the minimal cover of each open).  Gluing input is the
-classical chart form: ringed charts, overlap opens inside each chart, and
-transition isomorphisms stored as transports from chart to chart.  The
-glued object pairs the topological standard representative with the
-compatible-family structure sheaf, and the executed stalk laws are
-falsification checks, not input validation.  Both the gluing axiom and the
-glued sections enumerate compatible families with one join
+condition on the minimal cover of each open).  The naturality squares of
+a morphism, a transport or a cone leg are checked by
+``presheaves.naturality_failures`` with the ring operations.  Gluing input
+is the classical chart form: ringed charts, overlap opens inside each
+chart, and transition isomorphisms stored as transports from chart to
+chart.  The glued object pairs the topological standard representative
+with the compatible-family structure sheaf, and the executed stalk laws
+are falsification checks, not input validation.  Both the gluing axiom
+and the glued sections enumerate compatible families with one join
 (``compatible_families``), whose work follows the families kept.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations
 
 from . import fintop as ft
@@ -25,7 +28,7 @@ from . import topglue as tg
 from .errors import FalsificationError, UnsupportedFeature, ValidationError
 from .fintop import ContinuousMap, FinSpace, Open, minimal_cover, minimal_open
 from .indexcat import index_category, single
-from .presheaves import opens_below, presheaf_law_failures
+from .presheaves import naturality_failures, opens_below, presheaf_law_failures
 
 VARIANTS = ("rts", "lrts", "sch")
 
@@ -49,7 +52,7 @@ def make_ringed_space(top: FinSpace, sections, restr, check_sheaf: bool = True) 
     sections = {frozenset(k): v for k, v in sections.items()}
     restr = {(frozenset(u), frozenset(v)): h for (u, v), h in restr.items()}
     problems = presheaf_law_failures(
-        top.sorted_opens(), sections, restr,
+        top.sorted_opens, sections, restr,
         rg.is_ring_hom, rg.compose_ring_hom, operator.eq, rg.identity_ring_hom,
     )
     if problems:
@@ -102,7 +105,7 @@ def ring_sheaf_failures(space: RingedSpace) -> list[str]:
     every compatible family on the cover is a restricted section."""
     if space.sections[frozenset()].order != 1:
         return ["sections over the empty set are not the zero ring"]
-    for v in space.top.sorted_opens():
+    for v in space.top.sorted_opens:
         cover = minimal_cover(space.top, v)
         if len(cover) < 2:
             continue
@@ -130,7 +133,7 @@ def restrict_ringed(space: RingedSpace, v) -> tuple[RingedSpace, list[int]]:
     to_ambient = {k: p for k, p in enumerate(pts)}
     sections = {}
     restr = {}
-    local_opens = sub.sorted_opens()
+    local_opens = sub.sorted_opens
     ambient_of = {
         o: frozenset(to_ambient[k] for k in o) for o in local_opens
     }
@@ -158,7 +161,7 @@ def stalk_at(space: RingedSpace, x: int) -> Stalk:
     ux = minimal_open(space.top, x)
     germ = {
         u: space.res(u, ux)
-        for u in space.top.sorted_opens()
+        for u in space.top.sorted_opens
         if x in u
     }
     return Stalk(ux, space.ring(ux), germ)
@@ -167,7 +170,7 @@ def stalk_at(space: RingedSpace, x: int) -> Stalk:
 def is_stalk_cocone(space: RingedSpace, x: int, target: rg.FinCommRing, maps: dict[Open, rg.RingHom]) -> bool:
     """Does the family commute with every restriction between
     neighbourhoods of the point?"""
-    neigh = [u for u in space.top.sorted_opens() if x in u]
+    neigh = [u for u in space.top.sorted_opens if x in u]
     for u in neigh:
         h = maps.get(u)
         if h is None or h.dom != space.ring(u) or h.cod != target or not rg.is_ring_hom(h):
@@ -203,7 +206,7 @@ def identity_rsm(space: RingedSpace) -> RingedSpaceMorphism:
         space,
         space,
         ft.identity_map(space.top),
-        {u: rg.identity_ring_hom(space.ring(u)) for u in space.top.sorted_opens()},
+        {u: rg.identity_ring_hom(space.ring(u)) for u in space.top.sorted_opens},
     )
 
 
@@ -213,7 +216,7 @@ def restriction_rsm(space: RingedSpace, v) -> tuple[RingedSpaceMorphism, RingedS
     incl = ContinuousMap(sub.top, space.top, tuple(pts))
     v = frozenset(v)
     sheaf = {}
-    for u in space.top.sorted_opens():
+    for u in space.top.sorted_opens:
         sheaf[u] = space.res(u, u & v)
     m = RingedSpaceMorphism(space, sub, incl, sheaf)
     return m, sub
@@ -225,7 +228,7 @@ def compose_rsm(m2: RingedSpaceMorphism, m1: RingedSpaceMorphism) -> RingedSpace
         raise ValidationError("compose_rsm: endpoint mismatch")
     top = ft.compose(m1.top, m2.top)
     sheaf = {}
-    for u in m1.dom.top.sorted_opens():
+    for u in m1.dom.top.sorted_opens:
         mid = m1.top.preimage_of(u)
         sheaf[u] = rg.compose_ring_hom(m2.sheaf[mid], m1.sheaf[u])
     return RingedSpaceMorphism(m1.dom, m2.cod, top, sheaf)
@@ -234,23 +237,17 @@ def compose_rsm(m2: RingedSpaceMorphism, m1: RingedSpaceMorphism) -> RingedSpace
 def check_rsm(m: RingedSpaceMorphism) -> bool:
     if m.top.dom != m.cod.top or m.top.cod != m.dom.top or not ft.is_continuous(m.top):
         return False
-    for u in m.dom.top.sorted_opens():
+    for u in m.dom.top.sorted_opens:
         h = m.sheaf.get(u)
         pre = m.top.preimage_of(u)
         if h is None or h.dom != m.dom.ring(u) or h.cod != m.cod.ring(pre):
             return False
         if not rg.is_ring_hom(h):
             return False
-    for u in m.dom.top.sorted_opens():
-        for v in m.dom.top.sorted_opens():
-            if not v <= u:
-                continue
-            pu, pv = m.top.preimage_of(u), m.top.preimage_of(v)
-            lhs = rg.compose_ring_hom(m.cod.res(pu, pv), m.sheaf[u])
-            rhs = rg.compose_ring_hom(m.sheaf[v], m.dom.res(u, v))
-            if lhs != rhs:
-                return False
-    return True
+    return not naturality_failures(
+        m.dom.top.sorted_opens, m.top.preimage_of, m.sheaf.__getitem__, m.dom.res, m.cod.res,
+        rg.compose_ring_hom, operator.eq,
+    )
 
 
 def stalk_hom(m: RingedSpaceMorphism, x: int) -> rg.RingHom:
@@ -271,7 +268,7 @@ def stalk_hom_well_defined(m: RingedSpaceMorphism, x: int) -> bool:
     ux = minimal_open(m.cod.top, x)
     uy = minimal_open(m.dom.top, y)
     target = stalk_hom(m, x)
-    for u in m.dom.top.sorted_opens():
+    for u in m.dom.top.sorted_opens:
         if y not in u:
             continue
         via = rg.compose_ring_hom(m.cod.res(m.top.preimage_of(u), ux), m.sheaf[u])
@@ -367,17 +364,13 @@ def _validate(g: RingedGluingFunctor) -> tuple[dict, tg.TopGluingFunctor | None]
     # that the inverse check below reads
     for i, j in permutations(range(n), 2):
         opens = opens_below(g.charts[i].top, g.overlaps[(i, j)])
+        squares = naturality_failures(
+            opens, partial(g.top_image, i, j), g.transports[(i, j)].__getitem__,
+            g.charts[i].res, g.charts[j].res, rg.compose_ring_hom, operator.eq,
+        )
+        for w, w2 in squares:
+            report["transports"].append(f"transport ({i},{j}) not natural at {sorted(w)}->{sorted(w2)}")
         for w in opens:
-            for w2 in opens:
-                if not w2 <= w or w2 == w:
-                    continue
-                lhs = rg.compose_ring_hom(g.transports[(i, j)][w2], g.charts[i].res(w, w2))
-                rhs = rg.compose_ring_hom(
-                    g.charts[j].res(g.top_image(i, j, w), g.top_image(i, j, w2)),
-                    g.transports[(i, j)][w],
-                )
-                if lhs != rhs:
-                    report["transports"].append(f"transport ({i},{j}) not natural at {sorted(w)}->{sorted(w2)}")
             back = rg.compose_ring_hom(g.transports[(j, i)][g.top_image(i, j, w)], g.transports[(i, j)][w])
             if back != rg.identity_ring_hom(g.charts[i].ring(w)):
                 report["transports"].append(f"transports ({i},{j}),({j},{i}) not inverse at {sorted(w)}")
@@ -522,11 +515,11 @@ def glue_ringed(g: RingedGluingFunctor) -> GluedRinged:
     rep = tg.standard_representative(top_functor)
     q = rep.space
     top_legs = {i: rep.iota[single(i)] for i in range(g.n)}
-    inv = {i: {v: top_legs[i].preimage_of(v) for v in q.sorted_opens()} for i in range(g.n)}
+    inv = {i: {v: top_legs[i].preimage_of(v) for v in q.sorted_opens} for i in range(g.n)}
     members: dict[Open, list[tuple[int, ...]]] = {}
     indexes: dict[Open, dict[tuple[int, ...], int]] = {}
     sections: dict[Open, rg.FinCommRing] = {}
-    for v in q.sorted_opens():
+    for v in q.sorted_opens:
         parts = [g.charts[i].ring(inv[i][v]) for i in range(g.n)]
         keep = members[v] = glued_families(g, [inv[i][v] for i in range(g.n)])
         index = indexes[v] = {t: a for a, t in enumerate(keep)}
@@ -536,8 +529,8 @@ def glue_ringed(g: RingedGluingFunctor) -> GluedRinged:
         one = index[tuple(r.one for r in parts)]
         sections[v] = rg.FinCommRing(add, mul, zero, one)
     restr: dict[tuple[Open, Open], rg.RingHom] = {}
-    for u in q.sorted_opens():
-        for v in q.sorted_opens():
+    for u in q.sorted_opens:
+        for v in q.sorted_opens:
             if not v <= u:
                 continue
             maps = [g.charts[i].res(inv[i][u], inv[i][v]).assign for i in range(g.n)]
@@ -562,12 +555,12 @@ def glue_ringed(g: RingedGluingFunctor) -> GluedRinged:
                 g.charts[i].ring(inv[i][v]),
                 tuple(t[i] for t in members[v]),
             )
-            for v in q.sorted_opens()
+            for v in q.sorted_opens
         }
         for i in range(g.n)
     }
     for i in range(g.n):
-        for v in q.sorted_opens():
+        for v in q.sorted_opens:
             if not rg.is_ring_hom(projections[i][v]):
                 raise FalsificationError("projection is not a ring hom")
     glued = GluedRinged(rep, space, top_legs, projections, members, top_functor)
@@ -598,7 +591,7 @@ def _executed_stalk_checks(g: RingedGluingFunctor, glued: GluedRinged) -> None:
             qpt = glued.top_legs[i](x)
             vq = minimal_open(q, qpt)
             ux = minimal_open(g.charts[i].top, x)
-            for v in q.sorted_opens():
+            for v in q.sorted_opens:
                 if qpt not in v:
                     continue
                 pre = glued.top_legs[i].preimage_of(v)
@@ -661,7 +654,7 @@ def induced_sheaf_functor(g: RingedGluingFunctor, glued: GluedRinged):
             comps[w] = rg.additive_hom_matrix(
                 g.transport(i, j, wi), pres(i, wi), pres(j, glued.top_legs[j].preimage_of(w))
             )
-        transitions[(i, j)] = ps.NatIso(dom, cod, comps)
+        transitions[(i, j)] = ps.EnrichedMorphism(dom, cod, comps)
     data = sg.SheafGluingData(q, cover, tuple(sheaves), transitions)
     return sg.sheaf_functor_from_data(data)
 
@@ -708,33 +701,23 @@ def verify_ringed_glued(
     report["top_comparison"] = ft.is_homeomorphism(mu)
     if not report["top_comparison"]:
         return report
-    cand_opens = candidate.top.sorted_opens()
-    sheaf_cone = True
-    for i in range(g.n):
-        for v in cand_opens:
-            h = sheaf_legs.get(i, {}).get(v)
-            gi = top_legs[i].preimage_of(v)
-            if h is None or h.dom != candidate.ring(v) or h.cod != g.charts[i].ring(gi):
-                sheaf_cone = False
-                break
-            if not rg.is_ring_hom(h):
-                sheaf_cone = False
-                break
-        if not sheaf_cone:
-            break
+    cand_opens = candidate.top.sorted_opens
+    sheaf_cone = all(
+        (h := sheaf_legs.get(i, {}).get(v)) is not None
+        and h.dom == candidate.ring(v)
+        and h.cod == g.charts[i].ring(top_legs[i].preimage_of(v))
+        and rg.is_ring_hom(h)
+        for i in range(g.n)
+        for v in cand_opens
+    )
     if sheaf_cone:
-        for v in cand_opens:
-            for v2 in cand_opens:
-                if not v2 <= v:
-                    continue
-                for i in range(g.n):
-                    lhs = rg.compose_ring_hom(
-                        g.charts[i].res(top_legs[i].preimage_of(v), top_legs[i].preimage_of(v2)),
-                        sheaf_legs[i][v],
-                    )
-                    rhs = rg.compose_ring_hom(sheaf_legs[i][v2], candidate.res(v, v2))
-                    if lhs != rhs:
-                        sheaf_cone = False
+        sheaf_cone = not any(
+            naturality_failures(
+                cand_opens, top_legs[i].preimage_of, sheaf_legs[i].__getitem__, candidate.res,
+                g.charts[i].res, rg.compose_ring_hom, operator.eq,
+            )
+            for i in range(g.n)
+        )
         for v in cand_opens:
             for i, j in permutations(range(g.n), 2):
                 w = top_legs[i].preimage_of(v) & g.overlaps[(i, j)]

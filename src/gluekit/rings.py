@@ -101,6 +101,9 @@ def make_ring(add, mul, one: int, zero: int | None = None) -> FinCommRing:
             for x in row:
                 if not 0 <= x < q:
                     raise ValidationError(f"{name} table entry {x} out of range")
+    for name, x in (("one", one), ("zero", zero)):
+        if x is not None and not 0 <= x < q:
+            raise ValidationError(f"{name} {x} out of range for {q} elements")
     if zero is None:
         candidates = [z for z in range(q) if all(add[z][a] == a for a in range(q))]
         if len(candidates) != 1:

@@ -1,13 +1,15 @@
 """Gluing sheaves of abelian groups along an open cover of a fixed base.
 
 One datum, ``SheafGluingData``, is both the gluing input and, once
-``sheaf_functor_from_data`` accepts it, the gluing functor.  The laws of
-the transitions (each inverse to its mirror, the cocycle law) are checked
-only as the index category's generator relations.  The limit sheaf is
-materialized per open as the equalizer subgroup of the product of chart
-sections: the compatible families.  All structure maps of the gluing
-functor are enriched morphisms with inclusion open parts for the attaching
-arrows and identity open parts for the transitions.
+``sheaf_functor_from_data`` accepts it, the gluing functor.  Every arrow's
+image is a ``presheaves.EnrichedMorphism``: the attaching arrows have
+inclusion open parts, and the transitions, stored as they are given, have
+identity open parts.  Each transition's naturality is checked by
+``check_enriched_morphism``; its other laws (inverse to its mirror, which
+makes it an isomorphism, and the cocycle law) only as the index category's
+generator relations.  The limit sheaf is materialized per open as the
+equalizer subgroup of the product of chart sections: the compatible
+families.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from .indexcat import (
     EtaT,
     Generator,
     IdxObj,
+    Tau,
     check_generator_relations,
     index_category,
+    pair,
     single,
 )
 
@@ -40,7 +44,7 @@ class SheafGluingData:
     base: FinSpace
     cover: tuple[Open, ...]
     sheaves: tuple[ps.Presheaf, ...]
-    transitions: dict[tuple[int, int], ps.NatIso]
+    transitions: dict[tuple[int, int], ps.EnrichedMorphism]
 
     @property
     def n(self) -> int:
@@ -69,17 +73,13 @@ class SheafGluingData:
         return self.transitions[(i, j)].component(w)
 
     def gen_image(self, g: Generator) -> ps.EnrichedMorphism:
+        if isinstance(g, Tau):
+            return self.transitions[(g.j, g.i)]
         dom, cod = self.obj(g.dom), self.obj(g.cod)
         if isinstance(g, (Eta, EtaT)):
-            return _restriction_enriched(dom, cod)
+            return ps.EnrichedMorphism(dom, cod, {w: dom.res(w, w & cod.domain) for w in dom.opens()})
         comps = {w: self.transition_component(g.j, g.i, w) for w in dom.opens()}
         return ps.EnrichedMorphism(dom, cod, comps)
-
-
-def _restriction_enriched(dom: ps.Presheaf, cod: ps.Presheaf) -> ps.EnrichedMorphism:
-    v = cod.domain
-    comps = {w: dom.res(w, w & v) for w in dom.opens()}
-    return ps.EnrichedMorphism(dom, cod, comps)
 
 
 def sheaf_functor_from_data(data: SheafGluingData) -> SheafGluingData:
@@ -87,8 +87,9 @@ def sheaf_functor_from_data(data: SheafGluingData) -> SheafGluingData:
     return it.
 
     Checks the cover, the chart domains, that each transition is a natural
-    isomorphism on its overlap, the generator relations (among them
-    ``inverse_pair``, each transition inverse to its mirror, and
+    transformation between the two charts' restrictions to their overlap,
+    the generator relations (among them ``inverse_pair``, each transition
+    inverse to its mirror in both orders, so an isomorphism, and
     ``triple_composition``, the cocycle law), and that every chart is a
     sheaf.
     """
@@ -105,16 +106,17 @@ def sheaf_functor_from_data(data: SheafGluingData) -> SheafGluingData:
     for i, f in enumerate(data.sheaves):
         if f.space != data.base or f.domain != data.cover[i]:
             problems.append(f"chart {i} does not live on its cover member")
+    if problems:
+        raise ValidationError("; ".join(problems))
     for i, j in permutations(range(n), 2):
-        iso = data.transitions.get((i, j))
-        if iso is None:
+        t = data.transitions.get((i, j))
+        if t is None:
             problems.append(f"missing transition ({i},{j})")
             continue
-        overlap = data.overlap(i, j)
-        if iso.dom.domain != overlap or iso.cod.domain != overlap:
-            problems.append(f"transition ({i},{j}) has the wrong overlap")
+        if t.dom != data.obj(pair(i, j)) or t.cod != data.obj(pair(j, i)):
+            problems.append(f"transition ({i},{j}) does not run between the charts' restrictions to the overlap")
             continue
-        ok, errs = ps.check_nat_iso(iso)
+        ok, errs = ps.check_enriched_morphism(t)
         if not ok:
             problems.append(f"transition ({i},{j}): {errs[0]}")
     if problems:
@@ -260,23 +262,14 @@ def verify_sheaf_glued(
     if comps is None:
         return report
     report["comparison_exists"] = True
-    iso_ok = all(ab.is_iso(h) for h in comps.values())
-    natural_ok = True
-    for u in candidate.opens():
-        for v in candidate.opens():
-            if not v <= u:
-                continue
-            lhs = ab.compose_hom(lim.carrier.res(u, v), comps[u])
-            rhs = ab.compose_hom(comps[v], candidate.res(u, v))
-            if not ab.same_hom(lhs, rhs):
-                natural_ok = False
-    report["comparison_iso"] = iso_ok and natural_ok
-    commute_ok = True
-    for i in range(g.n):
-        for v in candidate.opens():
-            lhs = ab.compose_hom(lim.projections[i][v], comps[v])
-            if not ab.same_hom(lhs, legs[single(i)].component(v)):
-                commute_ok = False
+    report["comparison_iso"] = all(ab.is_iso(h) for h in comps.values()) and not ps.naturality_failures(
+        candidate.opens(), lambda w: w, comps.__getitem__, candidate.res, lim.carrier.res,
+        ab.compose_hom, ab.same_hom,
+    )
+    commute_ok = all(
+        ab.same_hom(ab.compose_hom(lim.projections[i][v], comps[v]), legs[single(i)].component(v))
+        for i in range(g.n) for v in candidate.opens()
+    )
     report["projections_commute"] = commute_ok
     report["verdict"] = report["cone"] and report["comparison_iso"] and commute_ok
     return report

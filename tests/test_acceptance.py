@@ -150,16 +150,16 @@ def test_criterion_07_sheaf_limit():
         assert sg.verify_sheaf_glued(lim.carrier, lim.legs, functor, lim)["verdict"]
         # a natural-isomorphism twist still verifies
         twist = gen.natural_automorphism(rng, lim.carrier, ab.free_group(1))
-        if all(h.dom.ambient for h in twist.components.values() if h.dom.ambient):
+        if all(h.dom.ambient for h in twist.alpha.values() if h.dom.ambient):
             twisted = ps.Presheaf(
                 lim.carrier.space,
                 lim.carrier.domain,
                 dict(lim.carrier.sections),
                 {
                     (u, v): ab.compose_hom(
-                        twist.components[v],
+                        twist.alpha[v],
                         ab.compose_hom(
-                            lim.carrier.res(u, v), ab.inverse_hom(twist.components[u])
+                            lim.carrier.res(u, v), ab.inverse_hom(twist.alpha[u])
                         ),
                     )
                     for u in lim.carrier.opens()
@@ -167,12 +167,12 @@ def test_criterion_07_sheaf_limit():
                     if v <= u
                 },
             )
-            inv = ps.inverse_nat_iso(twist)
+            inv = ps.inverse_enriched(twist)
             twisted_legs = {
                 a: ps.EnrichedMorphism(
                     twisted,
                     leg.cod,
-                    {o: ab.compose_hom(leg.alpha[o], inv.components[o]) for o in twisted.opens()},
+                    {o: ab.compose_hom(leg.alpha[o], inv.alpha[o]) for o in twisted.opens()},
                 )
                 for a, leg in lim.legs.items()
             }

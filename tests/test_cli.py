@@ -229,6 +229,14 @@ def test_referential_error_has_pointer(capsys, tmp_path):
     assert "/overlaps/0,1/space" in err
 
 
+@pytest.mark.parametrize("key", ["one", "zero"])
+def test_ring_unity_or_zero_out_of_range_names_the_ring(capsys, tmp_path, key):
+    path = write_malformed(tmp_path / "bad.json", "two_origins_ringed.json", ("rings", "r0", key), 9)
+    code, out, err = run_main(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith(f"error: /rings/r0: {key} 9 out of range for 1 elements"), err
+
+
 def test_empty_file_is_schema_error(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("")

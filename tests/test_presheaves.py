@@ -1,6 +1,8 @@
+import operator
 import random
 from collections import Counter
-from itertools import combinations, product as iproduct
+from functools import lru_cache, partial
+from itertools import combinations, permutations, product as iproduct
 
 import pytest
 
@@ -10,6 +12,7 @@ from gluekit import generators as gen
 from gluekit import presheaves as ps
 from gluekit import rings as rg
 from gluekit import ringedglue as rgl
+from gluekit import sheafglue as sg
 from gluekit.errors import ValidationError
 
 S = ft.sierpinski()
@@ -37,7 +40,7 @@ def irredundant_covers(space, v, max_size=3):
     """The bounded cover family: the cover of v by all its minimal opens,
     then every irredundant cover of v by at most ``max_size`` nonempty opens."""
     yield tuple(dict.fromkeys(space.minimal[x] for x in sorted(v)))
-    candidates = [o for o in space.sorted_opens() if o and o <= v]
+    candidates = [o for o in space.sorted_opens if o and o <= v]
     for size in range(1, max_size + 1):
         for combo in combinations(candidates, size):
             if frozenset().union(*combo) != v:
@@ -52,7 +55,7 @@ def irredundant_covers(space, v, max_size=3):
 
 def every_cover(space, v):
     """Every cover of v by nonempty opens; exponential in the opens below v."""
-    candidates = [o for o in space.sorted_opens() if o and o <= v]
+    candidates = [o for o in space.sorted_opens if o and o <= v]
     for size in range(1, len(candidates) + 1):
         for combo in combinations(candidates, size):
             if frozenset().union(*combo) == v:
@@ -94,7 +97,7 @@ def random_space(rng):
 def random_support(rng, space, ground):
     """A monotone family V -> f(V) of subsets of range(ground): coordinate e
     lives on the opens that contain one of a few random nonempty opens."""
-    opens = space.sorted_opens()
+    opens = space.sorted_opens
     nonempty = [o for o in opens if o]
     seeds = [rng.sample(nonempty, rng.randint(1, min(3, len(nonempty)))) for _ in range(ground)]
     return {o: [e for e in range(ground) if any(g <= o for g in seeds[e])] for o in opens}
@@ -102,7 +105,7 @@ def random_support(rng, space, ground):
 
 def coordinate_presheaf(space, support):
     """F(V) = Z^{f(V)}, restrictions the coordinate projections."""
-    opens = space.sorted_opens()
+    opens = space.sorted_opens
     sections = {o: ab.free_group(len(support[o])) for o in opens}
     restrictions = {}
     for u in opens:
@@ -270,12 +273,13 @@ def test_nat_iso_inverse_and_composition():
     base = ab.free_group(2)
     f = ps.locally_constant_sheaf(space, space.full(), base)
     iso = gen.natural_automorphism(rng, f, base)
-    ok, problems = ps.check_nat_iso(iso)
+    ok, problems = ps.check_enriched_morphism(iso)
     assert ok, problems
-    inv = ps.inverse_nat_iso(iso)
-    both = ps.compose_nat_iso(inv, iso)
+    assert all(ab.is_iso(h) for h in iso.alpha.values())
+    inv = ps.inverse_enriched(iso)
+    both = ps.compose_enriched(inv, iso)
     for o in f.opens():
-        assert ab.same_hom(both.components[o], ab.id_hom(f.group(o)))
+        assert ab.same_hom(both.alpha[o], ab.id_hom(f.group(o)))
 
 
 def test_minimal_cover_decides_like_the_bounded_family_and_all_covers():
@@ -352,7 +356,7 @@ def reference_group_law_failures(space, domain, sections, restrictions):
 def reference_ring_law_failures(top, sections, restr):
     """The law loops of make_ringed_space before the shared checker."""
     problems = []
-    opens = top.sorted_opens()
+    opens = top.sorted_opens
     for o in opens:
         if o not in sections:
             problems.append(f"missing sections over {sorted(o)}")
@@ -448,7 +452,7 @@ def test_presheaf_law_checker_matches_group_oracle():
 
     for _ in range(150):
         space = random_space(rng)
-        domain = rng.choice([o for o in space.sorted_opens() if o])
+        domain = rng.choice([o for o in space.sorted_opens if o])
         f = ps.locally_constant_sheaf(space, domain, gen.random_group(rng))
         opens = f.opens()
         families = [("valid", f.restrictions)] + single_corruptions(
@@ -490,7 +494,7 @@ def test_presheaf_law_checker_matches_ring_oracle():
         instances += 1
         base = rg.zmod(rng.choice([2, 3]))
         ringed = gen.locally_constant_ringed(space, base)
-        opens = space.sorted_opens()
+        opens = space.sorted_opens
 
         def non_hom(h):
             if h.cod.order < 2:
@@ -516,3 +520,262 @@ def test_presheaf_law_checker_matches_ring_oracle():
             assert bool(got) == (kind != "valid"), kind
             tried[kind] += 1
     assert len(tried) == 6 and min(tried.values()) >= 20, tried
+
+
+# --- oracle: the six naturality loops that naturality_failures replaced.
+# Each returns its failing squares (u, v); the loops that also visited
+# v = u keep doing so, so equal lists also show those squares never fail.
+
+def reference_enriched_squares(m):
+    """check_enriched_morphism's loop."""
+    v = m.cod.domain
+    failing = []
+    for w in m.dom.opens():
+        for w2 in m.dom.opens():
+            if not w2 <= w or w2 == w:
+                continue
+            lhs = ab.compose_hom(m.cod.res(w & v, w2 & v), m.alpha[w])
+            rhs = ab.compose_hom(m.alpha[w2], m.dom.res(w, w2))
+            if not ab.same_hom(lhs, rhs):
+                failing.append((w, w2))
+    return failing
+
+
+def reference_nat_iso_squares(iso):
+    """The loop of the former natural-isomorphism check, for a morphism
+    whose open part is the identity."""
+    failing = []
+    for w in iso.dom.opens():
+        for w2 in iso.dom.opens():
+            if not w2 <= w or w2 == w:
+                continue
+            lhs = ab.compose_hom(iso.cod.res(w, w2), iso.alpha[w])
+            rhs = ab.compose_hom(iso.alpha[w2], iso.dom.res(w, w2))
+            if not ab.same_hom(lhs, rhs):
+                failing.append((w, w2))
+    return failing
+
+
+def reference_comparison_squares(candidate, carrier, comps):
+    """verify_sheaf_glued's loop over the comparison into the limit."""
+    failing = []
+    for u in candidate.opens():
+        for v in candidate.opens():
+            if not v <= u:
+                continue
+            lhs = ab.compose_hom(carrier.res(u, v), comps[u])
+            rhs = ab.compose_hom(comps[v], candidate.res(u, v))
+            if not ab.same_hom(lhs, rhs):
+                failing.append((u, v))
+    return failing
+
+
+def reference_transport_squares(g, i, j):
+    """ringedglue._validate's loop over the transport (i, j)."""
+    opens = ps.opens_below(g.charts[i].top, g.overlaps[(i, j)])
+    failing = []
+    for w in opens:
+        for w2 in opens:
+            if not w2 <= w or w2 == w:
+                continue
+            lhs = rg.compose_ring_hom(g.transports[(i, j)][w2], g.charts[i].res(w, w2))
+            rhs = rg.compose_ring_hom(
+                g.charts[j].res(g.top_image(i, j, w), g.top_image(i, j, w2)),
+                g.transports[(i, j)][w],
+            )
+            if lhs != rhs:
+                failing.append((w, w2))
+    return failing
+
+
+def reference_rsm_squares(m):
+    """check_rsm's loop."""
+    failing = []
+    for u in m.dom.top.sorted_opens:
+        for v in m.dom.top.sorted_opens:
+            if not v <= u:
+                continue
+            pu, pv = m.top.preimage_of(u), m.top.preimage_of(v)
+            lhs = rg.compose_ring_hom(m.cod.res(pu, pv), m.sheaf[u])
+            rhs = rg.compose_ring_hom(m.sheaf[v], m.dom.res(u, v))
+            if lhs != rhs:
+                failing.append((u, v))
+    return failing
+
+
+def reference_leg_squares(candidate, top_legs, sheaf_legs, g, i):
+    """verify_ringed_glued's loop over the sheaf legs, for chart i."""
+    failing = []
+    for v in candidate.top.sorted_opens:
+        for v2 in candidate.top.sorted_opens:
+            if not v2 <= v:
+                continue
+            lhs = rg.compose_ring_hom(
+                g.charts[i].res(top_legs[i].preimage_of(v), top_legs[i].preimage_of(v2)),
+                sheaf_legs[i][v],
+            )
+            rhs = rg.compose_ring_hom(sheaf_legs[i][v2], candidate.res(v, v2))
+            if lhs != rhs:
+                failing.append((v, v2))
+    return failing
+
+
+def square_dicts(squares):
+    return [{"square": (sorted(u), sorted(v))} for u, v in squares]
+
+
+def changed_component(rng, alpha, options):
+    """alpha with the component at one open replaced by one of
+    ``options(h)`` that differs from it; None when no open offers one."""
+    spots = []
+    for w in sorted(alpha, key=sorted):
+        other = [x for x in options(alpha[w]) if x is not None and x != alpha[w]]
+        if other:
+            spots.append((w, other))
+    if not spots:
+        return None
+    w, other = rng.choice(spots)
+    return {**alpha, w: rng.choice(other)}
+
+
+def group_changes(h):
+    """Homs with h's endpoints that differ from h as maps, or None."""
+    for c in (ab.zero_hom(h.dom, h.cod), ab.scale_hom(2, h), ab.scale_hom(-1, h)):
+        yield None if ab.same_hom(c, h) else c
+
+
+def check_group_family(m):
+    """Compare every replaced group loop that applies to m with the shared
+    checker and with check_enriched_morphism; return the failing squares."""
+    expected = reference_enriched_squares(m)
+    ok, failures = ps.check_enriched_morphism(m)
+    assert failures == square_dicts(expected) and ok == (not expected)
+    if m.dom.domain == m.cod.domain:
+        assert reference_nat_iso_squares(m) == expected
+        same_opens = ps.naturality_failures(
+            m.dom.opens(), lambda w: w, m.alpha.__getitem__, m.dom.res, m.cod.res, ab.compose_hom, ab.same_hom,
+        )
+        assert same_opens == reference_comparison_squares(m.dom, m.cod, m.alpha) == expected
+    return expected
+
+
+def test_naturality_checker_matches_oracle_on_natural_automorphisms():
+    rng = random.Random(1010)
+    failing = 0
+    for _ in range(250):
+        space = random_space(rng)
+        domain = rng.choice([o for o in space.sorted_opens if o])
+        base = ab.free_group(rng.randint(1, 2))
+        f = ps.locally_constant_sheaf(space, domain, base)
+        twist = gen.natural_automorphism(rng, f, base)
+        assert check_group_family(twist) == []
+        alpha = changed_component(rng, twist.alpha, group_changes)
+        if alpha is not None:
+            failing += bool(check_group_family(ps.EnrichedMorphism(f, f, alpha)))
+    assert failing >= 100, failing
+
+
+def test_naturality_checker_matches_oracle_on_sheaf_transitions_and_limit_legs():
+    """The twisted charts of ``random_sheaf_data`` restrict alike, so the
+    limit legs, whose two ends restrict differently and whose open parts
+    are inclusions, are checked as well."""
+    rng = random.Random(1011)
+    failing = Counter()
+    for _ in range(250):
+        base, cover, charts, transitions, _ = gen.random_sheaf_data(rng, max_points=5, max_charts=3, max_rank=2)
+        data = sg.sheaf_functor_from_data(sg.SheafGluingData(base, tuple(cover), charts, transitions))
+        legs = sg.build_limit_sheaf(data).legs
+        family = [("transition", transitions[key]) for key in sorted(transitions)]
+        family.append(("leg", legs[rng.choice(sorted(legs, key=str))]))
+        for kind, m in family:
+            assert check_group_family(m) == []
+            alpha = changed_component(rng, m.alpha, group_changes)
+            if alpha is not None:
+                failing[kind] += bool(check_group_family(ps.EnrichedMorphism(m.dom, m.cod, alpha)))
+    assert min(failing.values()) >= 100, failing
+
+
+@lru_cache(maxsize=None)
+def factor_reindexings(m, k):
+    """product_ring([zmod(m)] * k) with its ring endomorphisms other than
+    the identity: each reads factor s[x] into factor x."""
+    ring = rg.product_ring([rg.zmod(m)] * k)[0]
+    tuples = list(iproduct(range(m), repeat=k))
+    index = {t: e for e, t in enumerate(tuples)}
+    return ring, [
+        rg.RingHom(ring, ring, tuple(index[tuple(t[x] for x in s)] for t in tuples))
+        for s in iproduct(range(k), repeat=k) if s != tuple(range(k))
+    ]
+
+
+def ring_changes(h):
+    """Maps with h's endpoints: h followed by each reindexing of its
+    codomain's factors, which are ring homs, and h shifted by the unity,
+    which is not one."""
+    cod = h.cod
+    shifted = rg.RingHom(h.dom, cod, tuple(cod.add[x][cod.one] for x in h.assign))
+    for m, k in ((2, 2), (3, 2), (4, 2), (6, 2), (2, 3), (3, 3)):
+        ring, endos = factor_reindexings(m, k)
+        if cod == ring:
+            return [shifted] + [rg.compose_ring_hom(e, h) for e in endos]
+    return [shifted]
+
+
+def test_naturality_checker_matches_oracle_on_ringed_transports(monkeypatch):
+    rng = random.Random(1012)
+    failing = 0
+    for _ in range(1000):
+        g = gen.random_ringed_functor(rng, rng.choice(["rts", "lrts"]), max_points=5)
+        if g.n < 2:
+            continue
+        i, j = rng.choice(list(permutations(range(g.n), 2)))
+        opens = ps.opens_below(g.charts[i].top, g.overlaps[(i, j)])
+        for corrupt in (False, True):
+            if corrupt:
+                changed = changed_component(rng, g.transports[(i, j)], ring_changes)
+                if changed is None:
+                    break
+                g.transports[(i, j)] = changed
+            expected = reference_transport_squares(g, i, j)
+            assert ps.naturality_failures(
+                opens, partial(g.top_image, i, j), g.transports[(i, j)].__getitem__,
+                g.charts[i].res, g.charts[j].res, rg.compose_ring_hom, operator.eq,
+            ) == expected
+            # the hom check runs first; pass every map so the squares are reached
+            with monkeypatch.context() as patch:
+                patch.setattr(rg, "is_ring_hom", lambda h: True)
+                report = rgl.validate_ringed_functor(g)
+            natural = [p for p in report["transports"] if "not natural" in p]
+            assert natural == [f"transport ({i},{j}) not natural at {sorted(w)}->{sorted(w2)}" for w, w2 in expected]
+            assert corrupt or not expected
+            failing += bool(expected)
+    assert failing >= 100, failing
+
+
+def test_naturality_checker_matches_oracle_on_glued_ringed_legs(monkeypatch):
+    rng = random.Random(1013)
+    failing = 0
+    for _ in range(300):
+        g = gen.random_ringed_functor(rng, rng.choice(["rts", "lrts"]), max_points=5)
+        glued = rgl.glue_ringed(g)
+        i = rng.randrange(g.n)
+        legs = dict(glued.projections)
+        for corrupt in (False, True):
+            if corrupt:
+                changed = changed_component(rng, legs[i], ring_changes)
+                if changed is None:
+                    break
+                legs[i] = changed
+            leg = rgl.RingedSpaceMorphism(glued.space, g.charts[i], glued.top_legs[i], legs[i])
+            expected = reference_rsm_squares(leg)
+            assert reference_leg_squares(glued.space, glued.top_legs, legs, g, i) == expected
+            assert ps.naturality_failures(
+                glued.space.top.sorted_opens, glued.top_legs[i].preimage_of, legs[i].__getitem__,
+                glued.space.res, g.charts[i].res, rg.compose_ring_hom, operator.eq,
+            ) == expected
+            with monkeypatch.context() as patch:
+                patch.setattr(rg, "is_ring_hom", lambda h: True)
+                assert rgl.check_rsm(leg) == (not expected)
+            assert corrupt or not expected
+            failing += bool(expected)
+    assert failing >= 100, failing

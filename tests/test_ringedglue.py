@@ -44,7 +44,7 @@ def ring_failures_on_covers(space, covers):
     decided by enumeration; the first failure, identity before gluing."""
     if space.sections[frozenset()].order != 1:
         return ["sections over the empty set are not the zero ring"]
-    for v in space.top.sorted_opens():
+    for v in space.top.sorted_opens:
         if not v:
             continue
         for cover in covers(space.top, v):
@@ -64,7 +64,7 @@ def coordinate_ringed(space, support):
     """F(V) = (Z/2)^{f(V)} as a product ring, restrictions the coordinate
     projections; unchecked, so that non-sheaves can be built."""
     rings = {k: rg.product_ring([rg.zmod(2)] * k) for k in {len(c) for c in support.values()}}
-    opens = space.sorted_opens()
+    opens = space.sorted_opens
     sections = {o: rings[len(support[o])][0] for o in opens}
     restr = {}
     for u in opens:
@@ -83,10 +83,10 @@ def coordinate_ringed(space, support):
 def constant_ringed(space, ring):
     """The ring on every nonempty open with identity restrictions: a sheaf
     only when every open is connected."""
-    sections = {o: (ring if o else rg.zero_ring()) for o in space.sorted_opens()}
+    sections = {o: (ring if o else rg.zero_ring()) for o in space.sorted_opens}
     restr = {}
-    for u in space.sorted_opens():
-        for v in space.sorted_opens():
+    for u in space.sorted_opens:
+        for v in space.sorted_opens:
             if v <= u:
                 if sections[u] == sections[v]:
                     restr[(u, v)] = rg.identity_ring_hom(sections[u])
@@ -139,10 +139,10 @@ def test_ringed_space_and_sheaf_condition():
     assert rgl.ring_sheaf_failures(chart) == []
     disc = ft.discrete_space(2)
     # constant (not locally constant) sections fail gluing on a discrete space
-    sections = {o: (rg.zmod(2) if o else rg.zero_ring()) for o in disc.sorted_opens()}
+    sections = {o: (rg.zmod(2) if o else rg.zero_ring()) for o in disc.sorted_opens}
     restr = {}
-    for u in disc.sorted_opens():
-        for v in disc.sorted_opens():
+    for u in disc.sorted_opens:
+        for v in disc.sorted_opens:
             if v <= u:
                 if sections[u] == sections[v]:
                     restr[(u, v)] = rg.identity_ring_hom(sections[u])
@@ -173,12 +173,12 @@ def test_stalk_colimit_universal_property():
         med = rgl.stalk_mediator(stalk, stalk.ring, stalk.germ_maps)
         assert med == rg.identity_ring_hom(stalk.ring)
         # co-cones through smaller opens: restriction families
-        for w in chart.top.sorted_opens():
+        for w in chart.top.sorted_opens:
             if not w <= stalk.minimal_open:
                 continue
             maps = {
                 u: chart.res(u, w)
-                for u in chart.top.sorted_opens()
+                for u in chart.top.sorted_opens
                 if x in u
             }
             assert rgl.is_stalk_cocone(chart, x, chart.ring(w), maps)
@@ -203,9 +203,9 @@ def test_stalk_cocone_sampling():
     for _ in range(50):
         x = rng.randrange(S.n)
         stalk = rgl.stalk_at(chart, x)
-        opens_w = [w for w in chart.top.sorted_opens() if w <= stalk.minimal_open]
+        opens_w = [w for w in chart.top.sorted_opens if w <= stalk.minimal_open]
         w = rng.choice(opens_w)
-        maps = {u: chart.res(u, w) for u in chart.top.sorted_opens() if x in u}
+        maps = {u: chart.res(u, w) for u in chart.top.sorted_opens if x in u}
         if rng.random() < 0.5 or chart.ring(w).order == 1:
             assert rgl.is_stalk_cocone(chart, x, chart.ring(w), maps)
         else:
@@ -260,7 +260,7 @@ def test_single_chart_glues_to_itself():
     g = rgl.RingedGluingFunctor("rts", (chart,), {}, {}, {})
     glued = rgl.glue_ringed(g)
     assert glued.space.top.n == chart.top.n
-    for v in glued.space.top.sorted_opens():
+    for v in glued.space.top.sorted_opens:
         assert rg.is_ring_iso(glued.projections[0][v])
 
 
@@ -339,7 +339,7 @@ def test_induced_functors_valid():
     lim = sg.build_limit_sheaf(sheaf_side)
     assert ps.is_sheaf(lim.carrier)[0]
     # additive invariants of the group limit match the ring orders
-    for v in glued.space.top.sorted_opens():
+    for v in glued.space.top.sorted_opens:
         order = glued.space.ring(v).order
         free, torsion = ab.invariants(lim.carrier.group(v))
         assert free == 0
@@ -354,10 +354,10 @@ def test_verify_rejects_indiscrete_candidate():
     glued = rgl.glue_ringed(g)
     blurred_top = ft.indiscrete_space(glued.space.top.n)
     sections = {o: glued.space.ring(frozenset(range(glued.space.top.n)) if o else frozenset())
-                for o in blurred_top.sorted_opens()}
+                for o in blurred_top.sorted_opens}
     restr = {}
-    for u in blurred_top.sorted_opens():
-        for v in blurred_top.sorted_opens():
+    for u in blurred_top.sorted_opens:
+        for v in blurred_top.sorted_opens:
             if v <= u:
                 if sections[u] == sections[v]:
                     restr[(u, v)] = rg.identity_ring_hom(sections[u])
@@ -371,7 +371,7 @@ def test_verify_rejects_indiscrete_candidate():
     legs_sheaf = {
         i: {
             o: glued.projections[i][frozenset(range(glued.space.top.n)) if o else frozenset()]
-            for o in blurred_top.sorted_opens()
+            for o in blurred_top.sorted_opens
         }
         for i in range(g.n)
     }
@@ -483,7 +483,7 @@ def test_glued_families_match_the_product_filter():
         legs = [rep.iota[single(i)] for i in range(g.n)]
         bad = scrambled_transports(rng, g)
         expected = {}
-        for v in rep.space.sorted_opens():
+        for v in rep.space.sorted_opens:
             pre = [legs[i].preimage_of(v) for i in range(g.n)]
             expected[v] = reference_glued_members(g, pre)
             assert rgl.glued_families(g, pre) == expected[v]

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 from itertools import permutations
@@ -8,6 +9,7 @@ from gluekit import abgroups as ab
 from gluekit import cli
 from gluekit import fintop as ft
 from gluekit import generators as gen
+from gluekit import jsonio
 from gluekit import presheaves as ps
 from gluekit import sheafglue as sg
 from gluekit.errors import FalsificationError, ValidationError
@@ -30,7 +32,7 @@ def identity_transitions(base, cover, sheaves):
             ov = cover[i] & cover[j]
             ri = ps.restrict_presheaf(sheaves[i], ov)
             rj = ps.restrict_presheaf(sheaves[j], ov)
-            transitions[(i, j)] = ps.NatIso(
+            transitions[(i, j)] = ps.EnrichedMorphism(
                 ri, rj, {o: ab.id_hom(ri.group(o)) for o in ri.opens()}
             )
     return transitions
@@ -73,12 +75,40 @@ def test_non_inverse_transitions_rejected():
     r0 = ps.restrict_presheaf(sheaves[0], ov)
     r1 = ps.restrict_presheaf(sheaves[1], ov)
     transitions = {
-        (0, 1): ps.NatIso(r0, r1, {o: ab.scale_hom(2, ab.id_hom(r0.group(o))) for o in r0.opens()}),
-        (1, 0): ps.NatIso(r1, r0, {o: ab.scale_hom(3, ab.id_hom(r1.group(o))) for o in r1.opens()}),
+        (0, 1): ps.EnrichedMorphism(r0, r1, {o: ab.scale_hom(2, ab.id_hom(r0.group(o))) for o in r0.opens()}),
+        (1, 0): ps.EnrichedMorphism(r1, r0, {o: ab.scale_hom(3, ab.id_hom(r1.group(o))) for o in r1.opens()}),
     }
     data = sg.SheafGluingData(base, cover, sheaves, transitions)
     with pytest.raises(ValidationError):
         sg.sheaf_functor_from_data(data)
+
+
+def test_natural_but_not_invertible_transition_is_refused_by_inverse_pair(capsys, tmp_path):
+    """Transition (0, 1) doubled at the open point, whose sections are a
+    free summand Z: still natural, since the only smaller open has trivial
+    sections, but not invertible.  The inverse_pair relation is what
+    refuses it."""
+    data = two_origins_sheaf_data()
+    t = data.transitions[(0, 1)]
+    point = frozenset({0})
+    doubled = ps.EnrichedMorphism(t.dom, t.cod, {**t.alpha, point: ab.scale_hom(2, t.alpha[point])})
+    assert ps.check_enriched_morphism(doubled) == (True, [])
+    assert not ab.is_iso(doubled.alpha[point])
+    broken = sg.SheafGluingData(data.base, data.cover, data.sheaves, {**data.transitions, (0, 1): doubled})
+    with pytest.raises(ValidationError, match="inverse_pair"):
+        sg.sheaf_functor_from_data(broken)
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps(jsonio.sheaf_data_to_document(broken)))
+    assert cli.main(["verify", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["conditions"]["data_valid"] is False
+
+
+def test_chart_on_the_wrong_open_is_named():
+    data = two_origins_sheaf_data()
+    wrong = ps.locally_constant_sheaf(data.base, frozenset(), Z)
+    moved = sg.SheafGluingData(data.base, data.cover, (data.sheaves[0], wrong), data.transitions)
+    with pytest.raises(ValidationError, match="chart 1 does not live on its cover member"):
+        sg.sheaf_functor_from_data(moved)
 
 
 def test_cocycle_corruption_rejected_on_three_charts():
@@ -89,7 +119,7 @@ def test_cocycle_corruption_rejected_on_three_charts():
             continue
         target = None
         for key, iso in transitions.items():
-            for o, h in iso.components.items():
+            for o, h in iso.alpha.items():
                 if h.dom.ambient:
                     target = (key, o)
                     break
@@ -99,9 +129,9 @@ def test_cocycle_corruption_rejected_on_three_charts():
             continue
         key, o = target
         broken = dict(transitions)
-        comps = dict(broken[key].components)
+        comps = dict(broken[key].alpha)
         comps[o] = ab.scale_hom(2, comps[o])
-        broken[key] = ps.NatIso(broken[key].dom, broken[key].cod, comps)
+        broken[key] = ps.EnrichedMorphism(broken[key].dom, broken[key].cod, comps)
         data = sg.SheafGluingData(base, tuple(cover), charts, broken)
         with pytest.raises(ValidationError):
             sg.sheaf_functor_from_data(data)
@@ -177,20 +207,20 @@ def test_verify_sheaf_glued_self_twisted_and_corrupted():
         dict(lim.carrier.sections),
         {
             (u, v): ab.compose_hom(
-                twist.components[v],
-                ab.compose_hom(lim.carrier.res(u, v), ab.inverse_hom(twist.components[u])),
+                twist.alpha[v],
+                ab.compose_hom(lim.carrier.res(u, v), ab.inverse_hom(twist.alpha[u])),
             )
             for u in lim.carrier.opens()
             for v in lim.carrier.opens()
             if v <= u
         },
     )
-    inv = ps.inverse_nat_iso(twist)
+    inv = ps.inverse_enriched(twist)
     twisted_legs = {
         a: ps.EnrichedMorphism(
             twisted,
             leg.cod,
-            {o: ab.compose_hom(leg.alpha[o], inv.components[o]) for o in twisted.opens()},
+            {o: ab.compose_hom(leg.alpha[o], inv.alpha[o]) for o in twisted.opens()},
         )
         for a, leg in lim.legs.items()
     }
@@ -370,17 +400,17 @@ def reference_transition_law_failures(data):
     for i, j in permutations(range(data.n), 2):
         fwd, bwd = data.transitions[(i, j)], data.transitions[(j, i)]
         for w in fwd.dom.opens():
-            comp = ab.compose_hom(bwd.components[w], fwd.components[w])
+            comp = ab.compose_hom(bwd.alpha[w], fwd.alpha[w])
             if not ab.same_hom(comp, ab.id_hom(fwd.dom.group(w))):
                 problems.append(f"transitions ({i},{j}),({j},{i}) are not mutually inverse at {sorted(w)}")
     for i, j, k in permutations(range(data.n), 3):
         zone = data.cover[i] & data.cover[j] & data.cover[k]
         for w in ps.opens_below(data.base, zone):
             lhs = ab.compose_hom(
-                data.transitions[(j, k)].components[w],
-                data.transitions[(i, j)].components[w],
+                data.transitions[(j, k)].alpha[w],
+                data.transitions[(i, j)].alpha[w],
             )
-            if not ab.same_hom(lhs, data.transitions[(i, k)].components[w]):
+            if not ab.same_hom(lhs, data.transitions[(i, k)].alpha[w]):
                 problems.append(f"cocycle fails at ({i},{j},{k}) on {sorted(w)}")
     return problems
 
@@ -391,7 +421,7 @@ def negated(transitions, keys):
     out = dict(transitions)
     for key in keys:
         iso = out[key]
-        out[key] = ps.NatIso(iso.dom, iso.cod, {w: ab.scale_hom(-1, h) for w, h in iso.components.items()})
+        out[key] = ps.EnrichedMorphism(iso.dom, iso.cod, {w: ab.scale_hom(-1, h) for w, h in iso.alpha.items()})
     return out
 
 

@@ -295,9 +295,9 @@ def test_final_topology_matches_subset_sweep_reference():
         g = gen.random_top_functor(rng, max_points=5)
         rep = tg.standard_representative(g)
         q = rep.space
-        opens = q.sorted_opens()
+        opens = q.sorted_opens
         coarser = ft.close_family(q.n, [o for o in opens if rng.random() < 0.5])
-        finer = ft.close_family(q.n, opens + [{p for p in range(q.n) if rng.random() < 0.5}])
+        finer = ft.close_family(q.n, [*opens, {p for p in range(q.n) if rng.random() < 0.5}])
         for candidate in (q, coarser, finer):
             iota = {a: ft.ContinuousMap(m.dom, candidate, m.assign) for a, m in rep.iota.items()}
             expected = reference_final_topology(candidate, iota, g)
