@@ -8,16 +8,12 @@ decided through the Smith normal form of small integer matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import intlinalg as il
 from .errors import ValidationError
 
 Matrix = il.Matrix
 Vector = il.Vector
-
-# entries kept by the presentation cache, so a long batch stays bounded in memory
-_PRESENTATION_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -52,14 +48,6 @@ def free_group(rank: int) -> FgAbGroup:
     return FgAbGroup(rank, ())
 
 
-def cyclic_group(n: int) -> FgAbGroup:
-    if n < 0:
-        raise ValidationError("cyclic order must be non-negative")
-    if n == 0:
-        return free_group(1)
-    return FgAbGroup(1, ((n,),))
-
-
 def trivial_group() -> FgAbGroup:
     return FgAbGroup(0, ())
 
@@ -70,19 +58,6 @@ def group_from_invariants(free_rank: int, torsion=()) -> FgAbGroup:
     for j, d in enumerate(torsion):
         rows[j][j] = d
     return make_group(m, rows)
-
-
-@lru_cache(maxsize=_PRESENTATION_CACHE_SIZE)
-def _presentation_snf(ambient: int, relations: Matrix):
-    if not relations:
-        relations = tuple(() for _ in range(ambient))
-    if ambient == 0:
-        return (), (), ()
-    return il.snf(relations)
-
-
-def _group_snf(g: FgAbGroup):
-    return _presentation_snf(g.ambient, g.relations)
 
 
 def invariants(g: FgAbGroup) -> tuple[int, tuple[int, ...]]:
@@ -104,65 +79,12 @@ def zero_vector(g: FgAbGroup) -> Vector:
     return (0,) * g.ambient
 
 
-def solve_membership(a: Matrix, b: Vector) -> Vector | None:
-    """Witness x with a*x = b over the integers, if one exists."""
-    return il.solve(a, b)
-
-
 def in_relation_span(g: FgAbGroup, v: Vector) -> bool:
     if g.ambient == 0:
         return True
     if not g.relations or not g.relations[0]:
         return all(x == 0 for x in v)
     return il.solve(g.relations, v) is not None
-
-
-def same_element(g: FgAbGroup, x: Vector, y: Vector) -> bool:
-    return in_relation_span(g, tuple(a - b for a, b in zip(x, y)))
-
-
-def normal_form(g: FgAbGroup, x: Vector) -> Vector:
-    """Canonical representative of x: reduce in SNF coordinates."""
-    if g.ambient == 0:
-        return ()
-    u, s, _ = _group_snf(g)
-    y = list(il.mat_vec(u, x))
-    m = g.ambient
-    ncols = len(s[0]) if s and s[0] else 0
-    for i in range(min(m, ncols)):
-        d = s[i][i]
-        if d != 0:
-            y[i] %= d
-    uinv = il.int_inverse(u)
-    return il.mat_vec(uinv, tuple(y))
-
-
-def enumerate_elements(g: FgAbGroup) -> list[Vector]:
-    """All elements of a finite group, as canonical ambient vectors."""
-    free, _ = invariants(g)
-    if free:
-        raise ValidationError("cannot enumerate an infinite group")
-    u, s, _ = _group_snf(g)
-    m = g.ambient
-    if m == 0:
-        return [()]
-    ncols = len(s[0]) if s and s[0] else 0
-    diag = [s[i][i] for i in range(min(m, ncols))]
-    uinv = il.int_inverse(u)
-    out = []
-
-    def rec(i, acc):
-        if i == m:
-            out.append(il.mat_vec(uinv, tuple(acc)))
-            return
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            raise ValidationError("cannot enumerate an infinite group")
-        for v in range(d):
-            rec(i + 1, acc + [v])
-
-    rec(0, [])
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,10 +151,6 @@ def compose_hom(f: AbHom, g: AbHom) -> AbHom:
 
 def sub_hom(f: AbHom, g: AbHom) -> AbHom:
     return AbHom(f.dom, f.cod, il.mat_sub(f.matrix, g.matrix))
-
-
-def scale_hom(c: int, f: AbHom) -> AbHom:
-    return AbHom(f.dom, f.cod, il.mat_scale(c, f.matrix))
 
 
 def same_hom(f: AbHom, g: AbHom) -> bool:
@@ -383,43 +301,6 @@ def factor_through(u: AbHom, v: AbHom) -> AbHom | None:
     return h
 
 
-def canonical_form(g: FgAbGroup) -> tuple[FgAbGroup, AbHom, AbHom]:
-    """Presentation by invariant factors, with mutually inverse homs.
-
-    Returns (C, to, frm) with to: g -> C, frm: C -> g and both composites
-    equal to identities.
-    """
-    free, torsion = invariants(g)
-    c = group_from_invariants(free, torsion)
-    if g.ambient == 0:
-        return c, zero_hom(g, c), zero_hom(c, g)
-    u, s, _ = _group_snf(g)
-    m = g.ambient
-    ncols = len(s[0]) if s and s[0] else 0
-    diag = [s[i][i] for i in range(min(m, ncols))]
-    keep = [i for i, d in enumerate(diag) if d != 1] + list(range(len(diag), m))
-    uinv = il.int_inverse(u)
-    to_mat = tuple(u[i] for i in keep) if keep else _zero_matrix(0, m)
-    frm_cols = [tuple(uinv[r][i] for r in range(m)) for i in keep]
-    frm_mat = il.from_columns(frm_cols, m) if keep else _zero_matrix(m, 0)
-    to = AbHom(g, c, to_mat)
-    frm = AbHom(c, g, frm_mat)
-    return c, to, frm
-
-
-def iso_witness(g1: FgAbGroup, g2: FgAbGroup) -> tuple[AbHom, AbHom] | None:
-    """Explicit isomorphisms (g1 -> g2, g2 -> g1) when the invariants match."""
-    if invariants(g1) != invariants(g2):
-        return None
-    _, to1, frm1 = canonical_form(g1)
-    _, to2, frm2 = canonical_form(g2)
-    fwd = compose_hom(frm2, AbHom(to1.cod, frm2.dom, il.identity(to1.cod.ambient)))
-    fwd = compose_hom(fwd, to1)
-    bwd = compose_hom(frm1, AbHom(to2.cod, frm1.dom, il.identity(to2.cod.ambient)))
-    bwd = compose_hom(bwd, to2)
-    return fwd, bwd
-
-
 def group_to_json(g: FgAbGroup) -> dict:
     return {"ambient": g.ambient, "relations": [list(r) for r in g.relations]}
 
@@ -427,10 +308,3 @@ def group_to_json(g: FgAbGroup) -> dict:
 def group_from_json(doc: dict) -> FgAbGroup:
     return make_group(int(doc["ambient"]), doc.get("relations") or ())
 
-
-def hom_to_json(h: AbHom) -> dict:
-    return {"matrix": [list(r) for r in h.matrix]}
-
-
-def hom_from_json(dom: FgAbGroup, cod: FgAbGroup, doc: dict) -> AbHom:
-    return make_hom(dom, cod, doc.get("matrix") or ())

@@ -130,7 +130,7 @@ def _ringed_glue(g):
 
 
 def _ringed_verify(g, glued) -> dict:
-    report = rgl.verify_ringed_glued(glued.space, glued.top_legs, glued.projections, g, glued)
+    report = rgl.verify_ringed_glued(glued.space, glued.legs, g, glued)
     if not report["verdict"]:
         raise FalsificationError(f"glued ringed space failed its own verification: {report}")
     return report

@@ -81,15 +81,6 @@ def discrete_space(n: int) -> FinSpace:
     return FinSpace(n, tuple(frozenset({x}) for x in range(n)))
 
 
-def indiscrete_space(n: int) -> FinSpace:
-    return FinSpace(n, (frozenset(range(n)),) * n)
-
-
-def sierpinski() -> FinSpace:
-    """Two points; {0} open, {1} closed."""
-    return FinSpace(2, (frozenset({0}), frozenset({0, 1})))
-
-
 def point_space() -> FinSpace:
     return discrete_space(1)
 
@@ -243,13 +234,6 @@ def subspace(space: FinSpace, pointset) -> FinSpace:
     return FinSpace(len(pts), tuple(minimal))
 
 
-def subspace_with_inclusion(space: FinSpace, pointset) -> tuple[FinSpace, ContinuousMap]:
-    sub = subspace(space, pointset)
-    pts = sorted(set(pointset))
-    incl = ContinuousMap(sub, space, tuple(pts))
-    return sub, incl
-
-
 def coproduct(spaces) -> tuple[FinSpace, list[ContinuousMap]]:
     """Disjoint union; the minimal opens of the summands, shifted."""
     spaces = list(spaces)
@@ -385,20 +369,6 @@ def space_to_json(space: FinSpace) -> dict:
 
 def space_from_json(doc: dict) -> FinSpace:
     return make_space(int(doc["points"]), [frozenset(o) for o in doc["opens"]])
-
-
-def map_to_json(f: ContinuousMap) -> dict:
-    return {
-        "dom": space_to_json(f.dom),
-        "cod": space_to_json(f.cod),
-        "assign": list(f.assign),
-    }
-
-
-def map_from_json(doc: dict, dom: FinSpace | None = None, cod: FinSpace | None = None) -> ContinuousMap:
-    dom = dom if dom is not None else space_from_json(doc["dom"])
-    cod = cod if cod is not None else space_from_json(doc["cod"])
-    return make_map(dom, cod, doc["assign"])
 
 
 def specialization_dot(space: FinSpace, name: str = "space") -> str:

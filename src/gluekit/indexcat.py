@@ -16,13 +16,14 @@ Generator naming (one fixed convention for the several notations in use):
 * ``TauT(i, j, k)``  : [j,{i,k}]-> [i,{j,k}]   (swap of the first two slots)
 
 Degenerate generators (repeated indices) collapse to identities or to the
-arrows above under canonicalization and are not stored.
+arrows above under canonicalization and are not stored.  A generator builds
+its ``dom`` and ``cod`` objects once, on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
 from .errors import ValidationError
@@ -49,9 +50,6 @@ class IdxObj:
     @property
     def kind(self) -> str:
         return ("single", "pair", "triple")[len(self.rest)]
-
-    def support(self) -> frozenset[int]:
-        return frozenset((self.apex,) + self.rest)
 
     def label(self) -> str:
         return "[" + ",".join(str(i) for i in (self.apex,) + self.rest) + "]"
@@ -104,11 +102,11 @@ class Eta:
     i: int
     j: int
 
-    @property
+    @cached_property
     def dom(self) -> IdxObj:
         return single(self.i)
 
-    @property
+    @cached_property
     def cod(self) -> IdxObj:
         return pair(self.i, self.j)
 
@@ -118,11 +116,11 @@ class Tau:
     i: int
     j: int
 
-    @property
+    @cached_property
     def dom(self) -> IdxObj:
         return pair(self.j, self.i)
 
-    @property
+    @cached_property
     def cod(self) -> IdxObj:
         return pair(self.i, self.j)
 
@@ -135,11 +133,11 @@ class EtaT:
     via: int
     other: int
 
-    @property
+    @cached_property
     def dom(self) -> IdxObj:
         return pair(self.i, self.via)
 
-    @property
+    @cached_property
     def cod(self) -> IdxObj:
         return triple(self.i, self.via, self.other)
 
@@ -152,11 +150,11 @@ class TauT:
     j: int
     k: int
 
-    @property
+    @cached_property
     def dom(self) -> IdxObj:
         return triple(self.j, self.i, self.k)
 
-    @property
+    @cached_property
     def cod(self) -> IdxObj:
         return triple(self.i, self.j, self.k)
 
@@ -182,9 +180,6 @@ class GluingIndexCategory:
     paths: dict[tuple[IdxObj, IdxObj], tuple[Generator, ...]]
     cone_squares: tuple[tuple[Square, ...], tuple[Square, ...], tuple[Square, ...]]
     leg_generators: tuple[Eta | EtaT, ...]
-
-    def hom_exists(self, a: IdxObj, b: IdxObj) -> bool:
-        return (a, b) in self.paths
 
     def morphism_count(self) -> int:
         return len(self.paths)

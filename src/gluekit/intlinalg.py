@@ -56,10 +56,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(c: int, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if len(a) != len(b):
         raise ValueError("row count mismatch in hstack")
@@ -73,38 +69,6 @@ def columns(a: Matrix) -> list[Vector]:
 
 def from_columns(cols: list[Vector], rows: int) -> Matrix:
     return tuple(tuple(col[i] for col in cols) for i in range(rows))
-
-
-def det(a: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    m, n = shape(a)
-    if m != n:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    M = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
-def is_unimodular(a: Matrix) -> bool:
-    m, n = shape(a)
-    return m == n and det(a) in (1, -1)
 
 
 @lru_cache(maxsize=_SNF_CACHE_SIZE)
@@ -247,20 +211,3 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
         return None
     return x
 
-
-def int_inverse(a: Matrix) -> Matrix | None:
-    """Exact inverse of a unimodular integer matrix, else None."""
-    m, n = shape(a)
-    if m != n:
-        return None
-    cols = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        x = solve(a, e)
-        if x is None:
-            return None
-        cols.append(x)
-    inv = from_columns(cols, n)
-    if mat_mul(a, inv) != identity(n):
-        return None
-    return inv

@@ -281,16 +281,3 @@ def same_enriched(m1: EnrichedMorphism, m2: EnrichedMorphism) -> bool:
         return False
     return all(ab.same_hom(m1.alpha[w], m2.alpha[w]) for w in m1.dom.opens())
 
-
-def inverse_enriched(m: EnrichedMorphism) -> EnrichedMorphism:
-    """The inverse of a natural isomorphism: a morphism whose open part is
-    the identity and whose every component is invertible."""
-    if m.dom.domain != m.cod.domain:
-        raise ValidationError("only a morphism with the identity open part can be inverted")
-    alpha = {}
-    for w, h in m.alpha.items():
-        inv = ab.inverse_hom(h)
-        if inv is None:
-            raise ValidationError(f"component at {sorted(w)} is not invertible")
-        alpha[w] = inv
-    return EnrichedMorphism(m.cod, m.dom, alpha)

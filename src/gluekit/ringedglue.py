@@ -5,13 +5,22 @@ restrictions satisfying the presheaf laws (``presheaves.presheaf_law_failures``
 with the ring operations) and the sheaf axioms (the identity-and-gluing
 condition on the minimal cover of each open).  The naturality squares of
 a morphism, a transport or a cone leg are checked by
-``presheaves.naturality_failures`` with the ring operations.  Gluing input
-is the classical chart form: ringed charts, overlap opens inside each
-chart, and transition isomorphisms stored as transports from chart to
-chart.  The glued object pairs the topological standard representative
-with the compatible-family structure sheaf, and the executed stalk laws
-are falsification checks, not input validation.  Both the gluing axiom
-and the glued sections enumerate compatible families with one join
+``presheaves.naturality_failures`` with the ring operations.
+
+Gluing input is the classical chart form: ringed charts, overlap opens
+inside each chart, and transition isomorphisms stored as transports from
+chart to chart.  It is a functor from the gluing index category into
+ringed spaces: ``RingedGluingFunctor.obj`` restricts a chart to an overlap
+or a triple zone, and ``gen_image`` gives each generator's image as a
+``RingedSpaceMorphism`` (restrictions, and the stored transports).  The
+transition inverse and cocycle laws are checked only as the index
+category's generator relations on those images; forgetting the sheaf
+parts gives the topological gluing functor.  The glued object pairs the
+topological standard representative with the compatible-family structure
+sheaf; its legs into the charts are ringed-space morphisms, and the cone
+check composes them with the generator images.  The executed stalk laws
+are falsification checks, not input validation.  Both the gluing axiom and
+the glued sections enumerate compatible families with one join
 (``compatible_families``), whose work follows the families kept.
 """
 
@@ -27,7 +36,7 @@ from . import rings as rg
 from . import topglue as tg
 from .errors import FalsificationError, UnsupportedFeature, ValidationError
 from .fintop import ContinuousMap, FinSpace, Open, minimal_cover, minimal_open
-from .indexcat import index_category, single
+from .indexcat import Eta, EtaT, Generator, IdxObj, Tau, check_generator_relations, index_category, single
 from .presheaves import naturality_failures, opens_below, presheaf_law_failures
 
 VARIANTS = ("rts", "lrts", "sch")
@@ -48,7 +57,7 @@ class RingedSpace:
         return self.restr[(frozenset(u), frozenset(v))]
 
 
-def make_ringed_space(top: FinSpace, sections, restr, check_sheaf: bool = True) -> RingedSpace:
+def make_ringed_space(top: FinSpace, sections, restr) -> RingedSpace:
     sections = {frozenset(k): v for k, v in sections.items()}
     restr = {(frozenset(u), frozenset(v)): h for (u, v), h in restr.items()}
     problems = presheaf_law_failures(
@@ -58,10 +67,9 @@ def make_ringed_space(top: FinSpace, sections, restr, check_sheaf: bool = True) 
     if problems:
         raise ValidationError("; ".join(problems))
     space = RingedSpace(top, sections, restr)
-    if check_sheaf:
-        failures = ring_sheaf_failures(space)
-        if failures:
-            raise ValidationError("; ".join(failures))
+    failures = ring_sheaf_failures(space)
+    if failures:
+        raise ValidationError("; ".join(failures))
     return space
 
 
@@ -167,28 +175,6 @@ def stalk_at(space: RingedSpace, x: int) -> Stalk:
     return Stalk(ux, space.ring(ux), germ)
 
 
-def is_stalk_cocone(space: RingedSpace, x: int, target: rg.FinCommRing, maps: dict[Open, rg.RingHom]) -> bool:
-    """Does the family commute with every restriction between
-    neighbourhoods of the point?"""
-    neigh = [u for u in space.top.sorted_opens if x in u]
-    for u in neigh:
-        h = maps.get(u)
-        if h is None or h.dom != space.ring(u) or h.cod != target or not rg.is_ring_hom(h):
-            return False
-    for u in neigh:
-        for v in neigh:
-            if v <= u:
-                if rg.compose_ring_hom(maps[v], space.res(u, v)) != maps[u]:
-                    return False
-    return True
-
-
-def stalk_mediator(stalk: Stalk, target: rg.FinCommRing, maps: dict[Open, rg.RingHom]) -> rg.RingHom:
-    """The unique hom out of the stalk commuting with the germ maps: it is
-    forced by the component at the minimal open."""
-    return maps[stalk.minimal_open]
-
-
 @dataclass
 class RingedSpaceMorphism:
     """Morphism with the plain-map side stored: ``top`` runs from the
@@ -210,16 +196,13 @@ def identity_rsm(space: RingedSpace) -> RingedSpaceMorphism:
     )
 
 
-def restriction_rsm(space: RingedSpace, v) -> tuple[RingedSpaceMorphism, RingedSpace]:
-    """The canonical morphism from a ringed space to its restriction."""
-    sub, pts = restrict_ringed(space, v)
-    incl = ContinuousMap(sub.top, space.top, tuple(pts))
-    v = frozenset(v)
-    sheaf = {}
-    for u in space.top.sorted_opens:
-        sheaf[u] = space.res(u, u & v)
-    m = RingedSpaceMorphism(space, sub, incl, sheaf)
-    return m, sub
+def restriction_rsm(space: RingedSpace, sub: RingedSpace, pts) -> RingedSpaceMorphism:
+    """The canonical morphism from a ringed space to its restriction ``sub``
+    to an open, whose point k is the space's point ``pts[k]``, as
+    ``restrict_ringed`` returns them."""
+    v = frozenset(pts)
+    sheaf = {u: space.res(u, u & v) for u in space.top.sorted_opens}
+    return RingedSpaceMorphism(space, sub, ContinuousMap(sub.top, space.top, tuple(pts)), sheaf)
 
 
 def compose_rsm(m2: RingedSpaceMorphism, m1: RingedSpaceMorphism) -> RingedSpaceMorphism:
@@ -232,6 +215,11 @@ def compose_rsm(m2: RingedSpaceMorphism, m1: RingedSpaceMorphism) -> RingedSpace
         mid = m1.top.preimage_of(u)
         sheaf[u] = rg.compose_ring_hom(m2.sheaf[mid], m1.sheaf[u])
     return RingedSpaceMorphism(m1.dom, m2.cod, top, sheaf)
+
+
+def same_rsm(m1: RingedSpaceMorphism, m2: RingedSpaceMorphism) -> bool:
+    """Equal plain maps and equal sheaf parts."""
+    return m1.top == m2.top and m1.sheaf == m2.sheaf
 
 
 def check_rsm(m: RingedSpaceMorphism) -> bool:
@@ -280,12 +268,15 @@ def stalk_hom_well_defined(m: RingedSpaceMorphism, x: int) -> bool:
 
 @dataclass
 class RingedGluingFunctor:
-    """Chart form of the gluing input.
+    """Chart form of the gluing input, and the functor it defines from the
+    index category into ringed spaces.
 
     ``overlaps[(i, j)]`` is an open of chart i; ``trans_top[(i, j)]`` sends
     its points to points of the mirror overlap in chart j; and
     ``transports[(i, j)][W]`` carries sections of chart i over any open W
-    below the overlap to sections of chart j over the image open.
+    below the overlap to sections of chart j over the image open.  The
+    images of objects and generators are built once per functor, on first
+    use, so the chart data is not changed afterwards.
     """
 
     variant: str
@@ -293,6 +284,10 @@ class RingedGluingFunctor:
     overlaps: dict[tuple[int, int], Open]
     trans_top: dict[tuple[int, int], dict[int, int]]
     transports: dict[tuple[int, int], dict[Open, rg.RingHom]]
+
+    def __post_init__(self):
+        self._objects: dict[IdxObj, tuple[RingedSpace, list[int]]] = {}
+        self._images: dict[Generator, RingedSpaceMorphism] = {}
 
     @property
     def n(self) -> int:
@@ -308,6 +303,39 @@ class RingedGluingFunctor:
             return rg.identity_ring_hom(self.charts[i].ring(w))
         return self.transports[(i, j)][w]
 
+    def _restricted(self, a: IdxObj) -> tuple[RingedSpace, list[int]]:
+        """Chart ``a.apex`` restricted to the object's zone (the whole chart,
+        an overlap, or a triple zone), with the chart point of each point."""
+        if a not in self._objects:
+            chart = self.charts[a.apex]
+            if a.kind == "single":
+                self._objects[a] = chart, list(range(chart.top.n))
+            else:
+                zone = frozenset.intersection(*(self.overlaps[(a.apex, j)] for j in a.rest))
+                self._objects[a] = restrict_ringed(chart, zone)
+        return self._objects[a]
+
+    def obj(self, a: IdxObj) -> RingedSpace:
+        return self._restricted(a)[0]
+
+    def gen_image(self, g: Generator) -> RingedSpaceMorphism:
+        """``Eta`` and ``EtaT`` give restrictions; ``Tau(i, j)`` and
+        ``TauT(i, j, k)`` give the transition from chart j to chart i, whose
+        sheaf part is the stored transport (j, i), keyed by local opens."""
+        if g not in self._images:
+            (dom, pts), (cod, there) = self._restricted(g.dom), self._restricted(g.cod)
+            local = {p: k for k, p in enumerate(pts)}
+            if isinstance(g, (Eta, EtaT)):
+                image = restriction_rsm(dom, cod, [local[p] for p in there])
+            else:
+                t = self.trans_top[(g.i, g.j)]
+                top = ContinuousMap(cod.top, dom.top, tuple(local[t[p]] for p in there))
+                stored = self.transports[(g.j, g.i)]
+                sheaf = {u: stored[frozenset(pts[x] for x in u)] for u in dom.top.sorted_opens}
+                image = RingedSpaceMorphism(dom, cod, top, sheaf)
+            self._images[g] = image
+        return self._images[g]
+
 
 def _check_sch(g: RingedGluingFunctor):
     if g.variant == "sch":
@@ -316,15 +344,17 @@ def _check_sch(g: RingedGluingFunctor):
 
 def validate_ringed_functor(g: RingedGluingFunctor) -> dict:
     """Report-style validation of the chart data: overlap/transition shape,
-    transport naturality, inverse and cocycle laws, the induced topological
-    functor, and the locality requirements of the lrts variant."""
+    transport typing and naturality, the generator relations (among them
+    ``inverse_pair``, each transport inverse to its mirror, and
+    ``triple_composition``, the cocycle law), and the locality
+    requirements of the lrts variant."""
     return _validate(g)[0]
 
 
 def _validate(g: RingedGluingFunctor) -> tuple[dict, tg.TopGluingFunctor | None]:
-    """The validation report, and the validated induced topological functor
-    once the report gets that far."""
-    report = {"shape": [], "transports": [], "cocycle": [], "top": [], "locality": [], "ok": False}
+    """The validation report, and the induced topological functor once the
+    data is valid."""
+    report = {"shape": [], "transports": [], "relations": [], "locality": [], "ok": False}
     if g.variant not in VARIANTS:
         report["shape"].append(f"unknown variant {g.variant!r}")
         return report, None
@@ -344,6 +374,12 @@ def _validate(g: RingedGluingFunctor) -> tuple[dict, tg.TopGluingFunctor | None]
             report["shape"].append(f"transitions ({i},{j}) and ({j},{i}) are not inverse")
     if report["shape"]:
         return report, None
+    for i, j, k in permutations(range(n), 3):
+        zone = g.overlaps[(i, j)] & g.overlaps[(i, k)]
+        if g.top_image(i, j, zone) != g.overlaps[(j, i)] & g.overlaps[(j, k)]:
+            report["shape"].append(f"transition ({i},{j}) does not carry the ({i},{j},{k}) zone to its mirror")
+    if report["shape"]:
+        return report, None
     for i, j in permutations(range(n), 2):
         ov = g.overlaps[(i, j)]
         opens = opens_below(g.charts[i].top, ov)
@@ -360,39 +396,22 @@ def _validate(g: RingedGluingFunctor) -> tuple[dict, tg.TopGluingFunctor | None]
                 report["transports"].append(f"transport ({i},{j}) at {sorted(w)} is not a ring hom")
     if report["transports"]:
         return report, None
-    # every transport is now present and typed, including the (j, i) ones
-    # that the inverse check below reads
     for i, j in permutations(range(n), 2):
-        opens = opens_below(g.charts[i].top, g.overlaps[(i, j)])
         squares = naturality_failures(
-            opens, partial(g.top_image, i, j), g.transports[(i, j)].__getitem__,
-            g.charts[i].res, g.charts[j].res, rg.compose_ring_hom, operator.eq,
+            opens_below(g.charts[i].top, g.overlaps[(i, j)]), partial(g.top_image, i, j),
+            g.transports[(i, j)].__getitem__, g.charts[i].res, g.charts[j].res, rg.compose_ring_hom, operator.eq,
         )
         for w, w2 in squares:
             report["transports"].append(f"transport ({i},{j}) not natural at {sorted(w)}->{sorted(w2)}")
-        for w in opens:
-            back = rg.compose_ring_hom(g.transports[(j, i)][g.top_image(i, j, w)], g.transports[(i, j)][w])
-            if back != rg.identity_ring_hom(g.charts[i].ring(w)):
-                report["transports"].append(f"transports ({i},{j}),({j},{i}) not inverse at {sorted(w)}")
     if report["transports"]:
         return report, None
-    for i, j, k in permutations(range(n), 3):
-        zone = g.overlaps[(i, j)] & g.overlaps[(i, k)]
-        if g.top_image(i, j, zone) != g.overlaps[(j, i)] & g.overlaps[(j, k)]:
-            report["cocycle"].append(f"transition ({i},{j}) does not carry the ({i},{j},{k}) zone to its mirror")
-            continue
-        for w in opens_below(g.charts[i].top, zone):
-            lhs = rg.compose_ring_hom(
-                g.transports[(j, k)][g.top_image(i, j, w)], g.transports[(i, j)][w]
-            )
-            if lhs != g.transports[(i, k)][w]:
-                report["cocycle"].append(f"cocycle fails at ({i},{j},{k}) on {sorted(w)}")
-    if report["cocycle"]:
-        return report, None
-    try:
-        top_functor = induced_top_functor(g)
-    except ValidationError as exc:
-        report["top"].append(str(exc))
+    # every transport is present, typed and natural, and each transition
+    # open both ways, so every generator has an image
+    images = {x: g.gen_image(x) for x in index_category(n).generators}
+    report["relations"] = check_generator_relations(
+        n, images, compose=compose_rsm, eq=same_rsm, identity=lambda a: identity_rsm(g.obj(a)),
+    )
+    if report["relations"]:
         return report, None
     if g.variant == "lrts":
         for i in range(n):
@@ -400,80 +419,39 @@ def _validate(g: RingedGluingFunctor) -> tuple[dict, tg.TopGluingFunctor | None]
                 if not rg.is_local_ring(stalk_at(g.charts[i], x).ring):
                     report["locality"].append(f"chart {i} has a non-local stalk at {x}")
         for i, j in permutations(range(n), 2):
-            for x in sorted(g.overlaps[(i, j)]):
-                ux = minimal_open(g.charts[i].top, x)
-                h = rg.compose_ring_hom(
-                    g.charts[j].res(
-                        g.top_image(i, j, ux),
-                        minimal_open(g.charts[j].top, g.trans_top[(i, j)][x]),
-                    ),
-                    g.transports[(i, j)][ux],
-                )
-                if not rg.is_local_hom(h):
-                    report["locality"].append(f"transition ({i},{j}) stalk map at {x} is not local")
+            # the image of Tau(j, i) carries the transport (i, j)
+            m = images[Tau(j, i)]
+            pts = sorted(g.overlaps[(i, j)])
+            for x in range(m.cod.top.n):
+                if not rg.is_local_hom(stalk_hom(m, x)):
+                    report["locality"].append(f"transition ({i},{j}) stalk map at {pts[m.top(x)]} is not local")
     report["ok"] = not report["locality"]
-    return report, top_functor
+    return report, induced_top_functor(g) if report["ok"] else None
 
 
 def induced_top_functor(g: RingedGluingFunctor) -> tg.TopGluingFunctor:
-    """Forget the sheaves: charts, overlap subspaces with their inclusions,
-    and point-level transitions."""
-    n = g.n
-    spaces = tuple(c.top for c in g.charts)
-    overlaps = {}
-    transitions = {}
-    locs = {}
-    for i, j in permutations(range(n), 2):
-        pts = sorted(g.overlaps[(i, j)])
-        sub = ft.subspace(spaces[i], pts)
-        locs[(i, j)] = {p: a for a, p in enumerate(pts)}
-        overlaps[(i, j)] = ContinuousMap(sub, spaces[i], tuple(pts))
-    for i, j in permutations(range(n), 2):
-        pts = sorted(g.overlaps[(i, j)])
-        sub = overlaps[(i, j)].dom
-        mirror = overlaps[(j, i)].dom
-        t = g.trans_top[(i, j)]
-        transitions[(i, j)] = ContinuousMap(
-            sub, mirror, tuple(locs[(j, i)][t[p]] for p in pts)
-        )
-    triple_spaces = {}
-    triple_projs = {}
-    triple_transitions = {}
-    for i in range(n):
-        for j, k in combinations((x for x in range(n) if x != i), 2):
-            zone = g.overlaps[(i, j)] & g.overlaps[(i, k)]
-            pts = sorted(zone)
-            sub = ft.subspace(spaces[i], pts)
-            triple_spaces[(i, frozenset({j, k}))] = sub
-            for via, other in ((j, k), (k, j)):
-                triple_projs[(i, via, other)] = ContinuousMap(
-                    sub, overlaps[(i, via)].dom, tuple(locs[(i, via)][p] for p in pts)
-                )
-    for i, j, k in permutations(range(n), 3):
-        zone = g.overlaps[(i, j)] & g.overlaps[(i, k)]
-        pts = sorted(zone)
-        sub = triple_spaces[(i, frozenset({j, k}))]
-        target = triple_spaces[(j, frozenset({i, k}))]
-        t = g.trans_top[(i, j)]
-        target_pts = sorted(g.overlaps[(j, i)] & g.overlaps[(j, k)])
-        target_loc = {p: a for a, p in enumerate(target_pts)}
-        triple_transitions[(i, j, k)] = ContinuousMap(
-            sub, target, tuple(target_loc[t[p]] for p in pts)
-        )
-    data = tg.TopGluingData(
-        spaces, overlaps, transitions, triple_spaces, triple_projs, triple_transitions, True
+    """Forget the sheaves: the spaces of the objects' images and the plain
+    maps of the generators' images.  On data that ``validate_ringed_functor``
+    accepts it is a valid topological gluing functor: the generator
+    relations hold for the plain maps too, and every transition is open
+    both ways."""
+    table = index_category(g.n)
+    return tg.TopGluingFunctor(
+        g.n, True, {a: g.obj(a).top for a in table.objects}, {x: g.gen_image(x).top for x in table.generators},
     )
-    return tg.functor_from_data(data)
 
 
 @dataclass
 class GluedRinged:
     top_rep: tg.GluedSpace
     space: RingedSpace
-    top_legs: dict[int, ContinuousMap]
-    projections: dict[int, dict[Open, rg.RingHom]]
+    legs: dict[int, RingedSpaceMorphism]
     members: dict[Open, list[tuple[int, ...]]]
     top_functor: tg.TopGluingFunctor
+
+    @property
+    def top_legs(self) -> dict[int, ContinuousMap]:
+        return {i: leg.top for i, leg in self.legs.items()}
 
 
 def glued_families(g: RingedGluingFunctor, pre) -> list[tuple[int, ...]]:
@@ -501,7 +479,8 @@ def _family_table(tables, keep, index) -> rg.Table:
 
 
 def glue_ringed(g: RingedGluingFunctor) -> GluedRinged:
-    """Standard glued ringed space with its projection pairs.
+    """Standard glued ringed space with its legs, the chart projections as
+    ringed-space morphisms.
 
     Every conclusion of the executed theorems (structure sheaf is a sheaf,
     projection stalk maps are ring isomorphisms, locality closure in the
@@ -542,135 +521,54 @@ def glue_ringed(g: RingedGluingFunctor) -> GluedRinged:
                 assign.append(indexes[v][restricted])
             restr[(u, v)] = rg.RingHom(sections[u], sections[v], tuple(assign))
     try:
-        space = make_ringed_space(q, sections, restr, check_sheaf=False)
+        space = make_ringed_space(q, sections, restr)
     except ValidationError as exc:
         raise FalsificationError(f"glued structure sheaf failed: {exc}") from exc
-    sheaf_failures = ring_sheaf_failures(space)
-    if sheaf_failures:
-        raise FalsificationError(f"glued structure sheaf failed: {sheaf_failures}")
-    projections = {
-        i: {
-            v: rg.RingHom(
-                sections[v],
-                g.charts[i].ring(inv[i][v]),
-                tuple(t[i] for t in members[v]),
-            )
+    legs = {
+        i: RingedSpaceMorphism(space, g.charts[i], top_legs[i], {
+            v: rg.RingHom(sections[v], g.charts[i].ring(inv[i][v]), tuple(t[i] for t in members[v]))
             for v in q.sorted_opens
-        }
+        })
         for i in range(g.n)
     }
-    for i in range(g.n):
-        for v in q.sorted_opens:
-            if not rg.is_ring_hom(projections[i][v]):
-                raise FalsificationError("projection is not a ring hom")
-    glued = GluedRinged(rep, space, top_legs, projections, members, top_functor)
+    glued = GluedRinged(rep, space, legs, members, top_functor)
     _executed_stalk_checks(g, glued)
     return glued
 
 
-def projection_stalk_map(g: RingedGluingFunctor, glued: GluedRinged, i: int, x: int) -> rg.RingHom:
-    """Stalk map of the chart projection at a chart point: project at the
-    minimal neighbourhood of the glued image point, then restrict."""
-    q = glued.space.top
-    qpt = glued.top_legs[i](x)
-    vq = minimal_open(q, qpt)
-    ux = minimal_open(g.charts[i].top, x)
-    pre = glued.top_legs[i].preimage_of(vq)
-    return rg.compose_ring_hom(g.charts[i].res(pre, ux), glued.projections[i][vq])
-
-
 def _executed_stalk_checks(g: RingedGluingFunctor, glued: GluedRinged) -> None:
-    q = glued.space.top
-    for i in range(g.n):
+    for i, leg in glued.legs.items():
         for x in range(g.charts[i].top.n):
-            smap = projection_stalk_map(g, glued, i, x)
+            smap = stalk_hom(leg, x)
             if not rg.is_ring_iso(smap):
                 raise FalsificationError(
                     f"projection stalk map at chart {i}, point {x} is not an isomorphism"
                 )
-            qpt = glued.top_legs[i](x)
-            vq = minimal_open(q, qpt)
-            ux = minimal_open(g.charts[i].top, x)
-            for v in q.sorted_opens:
-                if qpt not in v:
-                    continue
-                pre = glued.top_legs[i].preimage_of(v)
-                via = rg.compose_ring_hom(g.charts[i].res(pre, ux), glued.projections[i][v])
-                direct = rg.compose_ring_hom(smap, glued.space.res(v, vq))
-                if via != direct:
-                    raise FalsificationError("stalk naturality square does not commute")
+            if not stalk_hom_well_defined(leg, x):
+                raise FalsificationError("stalk naturality square does not commute")
             if g.variant == "lrts":
-                if not rg.is_local_ring(stalk_at(glued.space, qpt).ring):
+                if not rg.is_local_ring(stalk_at(glued.space, leg.top(x)).ring):
                     raise FalsificationError("glued stalk is not local in the lrts variant")
                 if not rg.is_local_hom(smap):
                     raise FalsificationError("projection stalk map is not local")
 
 
-def induced_sheaf_functor(g: RingedGluingFunctor, glued: GluedRinged):
-    """Push each chart sheaf forward onto its image in the glued space and
-    package the transitions as an abelian-group sheaf gluing functor over
-    the image cover; the result passes the sheaf-glue validator."""
-    from . import presheaves as ps
-    from . import sheafglue as sg
-
-    _check_sch(g)
-    q = glued.space.top
-    cover = tuple(
-        glued.top_legs[i].image_of(range(g.charts[i].top.n)) for i in range(g.n)
-    )
-    pres_cache: dict[tuple[int, Open], tuple] = {}
-
-    def pres(i: int, w: Open):
-        key = (i, w)
-        if key not in pres_cache:
-            pres_cache[key] = rg.additive_group_presentation(g.charts[i].ring(w))
-        return pres_cache[key]
-
-    sheaves = []
-    for i in range(g.n):
-        opens = opens_below(q, cover[i])
-        sections = {}
-        restrictions = {}
-        for o in opens:
-            sections[o] = pres(i, glued.top_legs[i].preimage_of(o))[0]
-        for u in opens:
-            for v in opens:
-                if not v <= u:
-                    continue
-                pu = glued.top_legs[i].preimage_of(u)
-                pv = glued.top_legs[i].preimage_of(v)
-                restrictions[(u, v)] = rg.additive_hom_matrix(
-                    g.charts[i].res(pu, pv), pres(i, pu), pres(i, pv)
-                )
-        sheaves.append(ps.make_presheaf(q, cover[i], sections, restrictions))
-    transitions = {}
-    for i, j in permutations(range(g.n), 2):
-        overlap = cover[i] & cover[j]
-        dom = ps.restrict_presheaf(sheaves[i], overlap)
-        cod = ps.restrict_presheaf(sheaves[j], overlap)
-        comps = {}
-        for w in dom.opens():
-            wi = glued.top_legs[i].preimage_of(w)
-            comps[w] = rg.additive_hom_matrix(
-                g.transport(i, j, wi), pres(i, wi), pres(j, glued.top_legs[j].preimage_of(w))
-            )
-        transitions[(i, j)] = ps.EnrichedMorphism(dom, cod, comps)
-    data = sg.SheafGluingData(q, cover, tuple(sheaves), transitions)
-    return sg.sheaf_functor_from_data(data)
-
-
 def verify_ringed_glued(
     candidate: RingedSpace,
-    top_legs: dict[int, ContinuousMap],
-    sheaf_legs: dict[int, dict[Open, rg.RingHom]],
+    legs: dict[int, RingedSpaceMorphism],
     g: RingedGluingFunctor,
     glued: GluedRinged,
 ) -> dict:
     """Compare a candidate cone with the standard glued ringed space.
 
-    Builds the topological comparison through the mediating map and the
-    per-open section comparison through the leg tuples; the lrts variant
-    additionally requires local stalks and local stalk maps on the
+    The chart legs must be ringed-space morphisms from the candidate
+    (``check_rsm``); legs that are not fail every condition.  They are
+    extended to every object along the leg generators; their plain maps
+    give the topological cone and its mediating map, and the squares of
+    every generator but ``TauT`` give the ringed cone (the ``mixed_swap``
+    relation gives the rest, as in ``sheafglue.check_sheaf_cone``).  The
+    per-open section comparison goes through the leg tuples; the lrts
+    variant additionally requires local stalks and local stalk maps on the
     candidate side.
     """
     _check_sch(g)
@@ -684,66 +582,45 @@ def verify_ringed_glued(
         "verdict": False,
     }
     top_functor = glued.top_functor
-    legs = {single(i): top_legs[i] for i in range(g.n)}
-    for arrow in index_category(g.n).leg_generators:
-        legs[arrow.cod] = ft.compose(legs[arrow.dom], top_functor.arrows[arrow])
+    table = index_category(g.n)
+    if not all(
+        (leg := legs.get(i)) is not None and leg.dom == candidate and leg.cod == g.charts[i] and check_rsm(leg)
+        for i in range(g.n)
+    ):
+        return report
+    cone = {single(i): legs[i] for i in range(g.n)}
+    for arrow in table.leg_generators:
+        cone[arrow.cod] = compose_rsm(g.gen_image(arrow), cone[arrow.dom])
+    top_cone = tg.TopCone(candidate.top, {a: m.top for a, m in cone.items()})
     try:
-        report["top_cone"] = all(tg.is_cone(candidate.top, legs, top_functor))
+        report["top_cone"] = all(tg.is_cone(top_cone.apex, top_cone.legs, top_functor))
     except ValidationError:
         return report
     if not report["top_cone"]:
         return report
-    cone = tg.TopCone(candidate.top, legs)
     try:
-        mu = tg.mediating_morphism(cone, glued.top_rep, top_functor)
+        mu = tg.mediating_morphism(top_cone, glued.top_rep, top_functor)
     except ValidationError:
         return report
     report["top_comparison"] = ft.is_homeomorphism(mu)
     if not report["top_comparison"]:
         return report
-    cand_opens = candidate.top.sorted_opens
-    sheaf_cone = all(
-        (h := sheaf_legs.get(i, {}).get(v)) is not None
-        and h.dom == candidate.ring(v)
-        and h.cod == g.charts[i].ring(top_legs[i].preimage_of(v))
-        and rg.is_ring_hom(h)
-        for i in range(g.n)
-        for v in cand_opens
+    # the squares of the leg generators hold by the extension
+    extended = set(table.leg_generators)
+    report["sheaf_cone"] = all(
+        same_rsm(compose_rsm(g.gen_image(arrow), cone[a]), cone[b])
+        for a, b, (arrow,) in table.cone_squares[1] if arrow not in extended
     )
-    if sheaf_cone:
-        sheaf_cone = not any(
-            naturality_failures(
-                cand_opens, top_legs[i].preimage_of, sheaf_legs[i].__getitem__, candidate.res,
-                g.charts[i].res, rg.compose_ring_hom, operator.eq,
-            )
-            for i in range(g.n)
-        )
-        for v in cand_opens:
-            for i, j in permutations(range(g.n), 2):
-                w = top_legs[i].preimage_of(v) & g.overlaps[(i, j)]
-                lhs = rg.compose_ring_hom(
-                    g.transport(i, j, w),
-                    rg.compose_ring_hom(
-                        g.charts[i].res(top_legs[i].preimage_of(v), w), sheaf_legs[i][v]
-                    ),
-                )
-                rhs = rg.compose_ring_hom(
-                    g.charts[j].res(top_legs[j].preimage_of(v), g.top_image(i, j, w)),
-                    sheaf_legs[j][v],
-                )
-                if lhs != rhs:
-                    sheaf_cone = False
-    report["sheaf_cone"] = sheaf_cone
-    if not sheaf_cone:
+    if not report["sheaf_cone"]:
         return report
     comparison_ok = True
     commute_ok = True
-    for v in cand_opens:
+    for v in candidate.top.sorted_opens:
         vq = mu.preimage_of(v)
         idx = {t: a for a, t in enumerate(glued.members[vq])}
         assign = []
         for s in candidate.ring(v).elements():
-            t = tuple(sheaf_legs[i][v](s) for i in range(g.n))
+            t = tuple(legs[i].sheaf[v](s) for i in range(g.n))
             if t not in idx:
                 comparison_ok = False
                 break
@@ -755,26 +632,16 @@ def verify_ringed_glued(
             comparison_ok = False
             break
         for i in range(g.n):
-            if rg.compose_ring_hom(glued.projections[i][vq], comp).assign != sheaf_legs[i][v].assign:
+            if rg.compose_ring_hom(glued.legs[i].sheaf[vq], comp).assign != legs[i].sheaf[v].assign:
                 commute_ok = False
     report["sheaf_comparison"] = comparison_ok
     report["projections_commute"] = comparison_ok and commute_ok
     if g.variant == "lrts" and comparison_ok:
-        local_ok = True
-        for x in range(candidate.top.n):
-            if not rg.is_local_ring(stalk_at(candidate, x).ring):
-                local_ok = False
-        for i in range(g.n):
-            for x in range(g.charts[i].top.n):
-                qpt = top_legs[i](x)
-                vq = minimal_open(candidate.top, qpt)
-                ux = minimal_open(g.charts[i].top, x)
-                smap = rg.compose_ring_hom(
-                    g.charts[i].res(top_legs[i].preimage_of(vq), ux), sheaf_legs[i][vq]
-                )
-                if not rg.is_local_hom(smap):
-                    local_ok = False
-        report["locality"] = local_ok
+        report["locality"] = all(
+            rg.is_local_ring(stalk_at(candidate, x).ring) for x in range(candidate.top.n)
+        ) and all(
+            rg.is_local_hom(stalk_hom(legs[i], x)) for i in range(g.n) for x in range(g.charts[i].top.n)
+        )
     report["verdict"] = all(
         report[k]
         for k in ("top_cone", "top_comparison", "sheaf_cone", "sheaf_comparison", "projections_commute", "locality")

@@ -17,9 +17,7 @@ that is closed under +:
 
 Zero is a sum of generators in a finite group, so those sets are
 everything.  ``make_ring`` thus costs O(q²·|G|) and ``is_ring_hom``
-O(q·|G|), with |G| ≤ log₂ q.  A conversion of the additive group of a
-table ring into a finitely generated abelian-group presentation bridges
-into the integer-matrix machinery.
+O(q·|G|), with |G| ≤ log₂ q.
 """
 
 from __future__ import annotations
@@ -28,8 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
 
-from . import abgroups as ab
-from . import intlinalg as il
 from .errors import ValidationError
 
 Table = tuple[tuple[int, ...], ...]
@@ -147,10 +143,6 @@ def zmod(n: int) -> FinCommRing:
     return FinCommRing(add, mul, 0, 1 % n)
 
 
-def zero_ring() -> FinCommRing:
-    return zmod(1)
-
-
 def product_ring(rings) -> tuple[FinCommRing, list[list[int]]]:
     """Componentwise product; returns the ring and, per factor, the
     projection table element -> factor element."""
@@ -249,69 +241,6 @@ def is_local_hom(h: RingHom) -> bool:
     dom_units = units(h.dom)
     cod_units = units(h.cod)
     return all(h.assign[a] not in cod_units for a in h.dom.elements() if a not in dom_units)
-
-
-def additive_order(ring: FinCommRing, a: int) -> int:
-    k, cur = 1, a
-    while cur != ring.zero:
-        cur = ring.add[cur][a]
-        k += 1
-    return k
-
-
-def additive_group_presentation(ring: FinCommRing) -> tuple[ab.FgAbGroup, dict[int, tuple[int, ...]], list[int]]:
-    """Present the additive group of a table ring.
-
-    Returns (group, coordinates per element, generator elements).
-    Generators are chosen greedily by decreasing additive order; relations
-    are the box combinations that vanish plus one order relation per
-    generator.
-    """
-    q = ring.order
-    gens: list[int] = []
-    span = {ring.zero}
-    by_order = sorted(ring.elements(), key=lambda a: -additive_order(ring, a))
-    for a in by_order:
-        if a in span:
-            continue
-        gens.append(a)
-        new_span = set()
-        for s in span:
-            cur = s
-            while True:
-                new_span.add(cur)
-                cur = ring.add[cur][a]
-                if cur == s:
-                    break
-        span = new_span
-        if len(span) == q:
-            break
-    orders = [additive_order(ring, g) for g in gens]
-    coords: dict[int, tuple[int, ...]] = {}
-    rel_cols: list[tuple[int, ...]] = []
-    for combo in iproduct(*(range(o) for o in orders)) if gens else [()]:
-        elem = ring.zero
-        for g, c in zip(gens, combo):
-            for _ in range(c):
-                elem = ring.add[elem][g]
-        if elem not in coords:
-            coords[elem] = tuple(combo)
-        if elem == ring.zero and any(combo):
-            rel_cols.append(tuple(combo))
-    k = len(gens)
-    for i, o in enumerate(orders):
-        rel_cols.append(tuple(o if j == i else 0 for j in range(k)))
-    group = ab.FgAbGroup(k, il.from_columns(rel_cols, k) if rel_cols else ())
-    return group, coords, gens
-
-
-def additive_hom_matrix(h: RingHom, dom_pres, cod_pres) -> ab.AbHom:
-    """The additive part of a ring hom in presented coordinates."""
-    dom_group, _, dom_gens = dom_pres
-    cod_group, cod_coords, _ = cod_pres
-    cols = [cod_coords[h.assign[g]] for g in dom_gens]
-    mat = il.from_columns(cols, cod_group.ambient) if cols else ()
-    return ab.AbHom(dom_group, cod_group, mat)
 
 
 def ring_to_json(ring: FinCommRing) -> dict:

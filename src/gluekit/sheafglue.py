@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from . import abgroups as ab
-from . import intlinalg as il
 from . import presheaves as ps
 from .errors import FalsificationError, ValidationError
 from .fintop import FinSpace, Open
@@ -274,29 +273,3 @@ def verify_sheaf_glued(
     report["verdict"] = report["cone"] and report["comparison_iso"] and commute_ok
     return report
 
-
-def extend_section(lim: LimitSheaf, g: SheafGluingData, i: int, v, coords) -> tuple[int, ...] | None:
-    """Spread one chart section over V to a compatible family when the
-    transition translates determine every component, i.e. when V meets each
-    chart inside the overlap with chart i; absent otherwise."""
-    v = frozenset(v)
-    if any(not (v & g.cover[j]) <= g.cover[i] for j in range(g.n)):
-        return None
-    coords = tuple(coords)
-    pieces: list[tuple[int, ...]] = []
-    for j in range(g.n):
-        w = v & g.cover[j]
-        res = g.sheaves[i].res(v & g.cover[i], w)
-        translated = g.transition_component(i, j, w)(res(coords))
-        pieces.append(translated)
-    assembled = tuple(x for piece in pieces for x in piece)
-    incl = lim.inclusions[v]
-    prod = incl.cod
-    if prod.ambient == 0:
-        return ()
-    rel = prod.relations if (prod.relations and prod.relations[0]) else None
-    block = incl.matrix if rel is None else il.hstack(incl.matrix, rel)
-    sol = il.solve(block, assembled)
-    if sol is None:
-        return None
-    return sol[: incl.dom.ambient]

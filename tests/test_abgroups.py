@@ -5,9 +5,114 @@ import pytest
 from gluekit import abgroups as ab
 from gluekit import intlinalg as il
 from gluekit.errors import ValidationError
+from test_intlinalg import int_inverse
+
+
+# --- group and hom helpers the tests read; the pipeline never runs them
+
+def group_snf(g):
+    """(U, S, V) with U·R·V = S for the relation matrix R of g."""
+    if g.ambient == 0:
+        return (), (), ()
+    return il.snf(g.relations or tuple(() for _ in range(g.ambient)))
+
+
+def same_element(g, x, y):
+    return ab.in_relation_span(g, tuple(a - b for a, b in zip(x, y)))
+
+
+def scale_hom(c, f):
+    return ab.AbHom(f.dom, f.cod, tuple(tuple(c * x for x in row) for row in f.matrix))
+
+
+def normal_form(g, x):
+    """Canonical representative of x: reduce in SNF coordinates."""
+    if g.ambient == 0:
+        return ()
+    u, s, _ = group_snf(g)
+    y = list(il.mat_vec(u, x))
+    m = g.ambient
+    ncols = len(s[0]) if s and s[0] else 0
+    for i in range(min(m, ncols)):
+        d = s[i][i]
+        if d != 0:
+            y[i] %= d
+    return il.mat_vec(int_inverse(u), tuple(y))
+
+
+def enumerate_elements(g):
+    """All elements of a finite group, as canonical ambient vectors."""
+    free, _ = ab.invariants(g)
+    if free:
+        raise ValidationError("cannot enumerate an infinite group")
+    u, s, _ = group_snf(g)
+    m = g.ambient
+    if m == 0:
+        return [()]
+    ncols = len(s[0]) if s and s[0] else 0
+    diag = [s[i][i] for i in range(min(m, ncols))]
+    uinv = int_inverse(u)
+    out = []
+
+    def rec(i, acc):
+        if i == m:
+            out.append(il.mat_vec(uinv, tuple(acc)))
+            return
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            raise ValidationError("cannot enumerate an infinite group")
+        for v in range(d):
+            rec(i + 1, acc + [v])
+
+    rec(0, [])
+    return out
+
+
+def canonical_form(g):
+    """Presentation by invariant factors, with mutually inverse homs.
+
+    Returns (C, to, frm) with to: g -> C, frm: C -> g and both composites
+    equal to identities.
+    """
+    free, torsion = ab.invariants(g)
+    c = ab.group_from_invariants(free, torsion)
+    if g.ambient == 0:
+        return c, ab.zero_hom(g, c), ab.zero_hom(c, g)
+    u, s, _ = group_snf(g)
+    m = g.ambient
+    ncols = len(s[0]) if s and s[0] else 0
+    diag = [s[i][i] for i in range(min(m, ncols))]
+    keep = [i for i, d in enumerate(diag) if d != 1] + list(range(len(diag), m))
+    uinv = int_inverse(u)
+    to_mat = tuple(u[i] for i in keep) if keep else ()
+    frm_cols = [tuple(uinv[r][i] for r in range(m)) for i in keep]
+    frm_mat = il.from_columns(frm_cols, m) if keep else tuple(() for _ in range(m))
+    return c, ab.AbHom(g, c, to_mat), ab.AbHom(c, g, frm_mat)
+
+
+def iso_witness(g1, g2):
+    """Explicit isomorphisms (g1 -> g2, g2 -> g1) when the invariants match."""
+    if ab.invariants(g1) != ab.invariants(g2):
+        return None
+    _, to1, frm1 = canonical_form(g1)
+    _, to2, frm2 = canonical_form(g2)
+    fwd = ab.compose_hom(frm2, ab.AbHom(to1.cod, frm2.dom, il.identity(to1.cod.ambient)))
+    fwd = ab.compose_hom(fwd, to1)
+    bwd = ab.compose_hom(frm1, ab.AbHom(to2.cod, frm1.dom, il.identity(to2.cod.ambient)))
+    bwd = ab.compose_hom(bwd, to2)
+    return fwd, bwd
+
+
+def hom_to_json(h):
+    return {"matrix": [list(r) for r in h.matrix]}
+
+
+def hom_from_json(dom, cod, doc):
+    return ab.make_hom(dom, cod, doc.get("matrix") or ())
+
 
 Z = ab.free_group(1)
-Z2 = ab.cyclic_group(2)
+Z2 = ab.group_from_invariants(0, (2,))
 
 
 def random_group(rng):
@@ -29,9 +134,9 @@ def random_hom(rng, dom, cod):
 
 
 def test_membership_examples():
-    assert ab.solve_membership(il.freeze([[2]]), (4,)) == (2,)
-    assert ab.solve_membership(il.freeze([[2]]), (3,)) is None
-    witness = ab.solve_membership(il.freeze([[2, 0], [0, 3]]), (2, 3))
+    assert il.solve(il.freeze([[2]]), (4,)) == (2,)
+    assert il.solve(il.freeze([[2]]), (3,)) is None
+    witness = il.solve(il.freeze([[2, 0], [0, 3]]), (2, 3))
     assert witness is not None
     # oracle: direct substitution
     assert il.mat_vec(il.freeze([[2, 0], [0, 3]]), witness) == (2, 3)
@@ -49,7 +154,7 @@ def test_kernel_examples():
     assert ab.invariants(k3) == (1, ())
     # the inclusion lands on even numbers
     img = incl3(tuple(1 for _ in range(k3.ambient)))
-    assert all(x % 2 == 0 for x in img) or ab.same_element(Z2, red(img), (0,))
+    assert all(x % 2 == 0 for x in img) or same_element(Z2, red(img), (0,))
 
 
 def test_product_and_equalizer_examples():
@@ -58,7 +163,7 @@ def test_product_and_equalizer_examples():
     g = ab.group_from_invariants(1, (3,))
     e, incl = ab.equalizer(ab.id_hom(g), ab.id_hom(g))
     assert ab.invariants(e) == ab.invariants(g)
-    e2, _ = ab.equalizer(ab.id_hom(Z), ab.scale_hom(-1, ab.id_hom(Z)))
+    e2, _ = ab.equalizer(ab.id_hom(Z), scale_hom(-1, ab.id_hom(Z)))
     assert ab.is_trivial(e2)
 
 
@@ -150,12 +255,12 @@ def test_iso_invariance_with_witnesses():
         g1 = ab.group_from_invariants(free, torsion)
         # a scrambled presentation of the same group
         extra = ab.group_from_invariants(free, torsion)
-        pair = ab.iso_witness(g1, extra)
+        pair = iso_witness(g1, extra)
         assert pair is not None
         fwd, bwd = pair
         assert ab.same_hom(ab.compose_hom(bwd, fwd), ab.id_hom(g1))
         assert ab.same_hom(ab.compose_hom(fwd, bwd), ab.id_hom(extra))
-    assert ab.iso_witness(Z, Z2) is None
+    assert iso_witness(Z, Z2) is None
 
 
 def test_scrambled_presentation_same_invariants():
@@ -163,7 +268,7 @@ def test_scrambled_presentation_same_invariants():
     g = ab.make_group(2, [[2, 1], [1, 2]])
     assert ab.invariants(g) == (0, (3,))
     h = ab.group_from_invariants(0, (3,))
-    pair = ab.iso_witness(g, h)
+    pair = iso_witness(g, h)
     assert pair is not None
     fwd, bwd = pair
     assert ab.same_hom(ab.compose_hom(bwd, fwd), ab.id_hom(g))
@@ -171,20 +276,20 @@ def test_scrambled_presentation_same_invariants():
 
 def test_enumerate_elements():
     g = ab.group_from_invariants(0, (2, 3))
-    elems = ab.enumerate_elements(g)
+    elems = enumerate_elements(g)
     assert len(elems) == 6
     seen = set()
     for e in elems:
-        canon = ab.normal_form(g, e)
+        canon = normal_form(g, e)
         assert canon not in seen
         seen.add(canon)
     with pytest.raises(ValidationError):
-        ab.enumerate_elements(Z)
+        enumerate_elements(Z)
 
 
 def test_canonical_form_roundtrip():
     g = ab.make_group(2, [[2, 0], [0, 0]])  # Z/2 x Z
-    c, to, frm = ab.canonical_form(g)
+    c, to, frm = canonical_form(g)
     assert ab.invariants(c) == ab.invariants(g) == (1, (2,))
     assert ab.same_hom(ab.compose_hom(to, frm), ab.id_hom(c))
     assert ab.same_hom(ab.compose_hom(frm, to), ab.id_hom(g))
@@ -194,4 +299,4 @@ def test_json_roundtrip():
     g = ab.group_from_invariants(1, (4,))
     assert ab.group_from_json(ab.group_to_json(g)) == g
     h = ab.make_hom(g, g, il.identity(2))
-    assert ab.hom_from_json(g, g, ab.hom_to_json(h)).matrix == h.matrix
+    assert hom_from_json(g, g, hom_to_json(h)).matrix == h.matrix

@@ -4,14 +4,12 @@ Each cache is an ``lru_cache`` with a fixed finite ``maxsize``; feeding it
 more distinct arguments than that evicts instead of growing.
 """
 
-from gluekit import abgroups as ab
 from gluekit import indexcat as ic
 from gluekit import intlinalg as il
 
 # cached function, and the k-th of its distinct argument tuples
 CACHES = [
     (il.snf, lambda k: (((k,),),)),
-    (ab._presentation_snf, lambda k: (1, ((k,),))),
     (ic.generator_path, lambda k: (k + 1, ic.single(0), ic.single(0))),
     (ic.index_category, lambda k: (k + 1,)),
 ]

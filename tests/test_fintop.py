@@ -6,7 +6,32 @@ import pytest
 from gluekit import fintop as ft
 from gluekit.errors import ValidationError
 
-S = ft.sierpinski()
+
+# --- spaces, maps and serializers the tests read; the pipeline never runs them
+
+def sierpinski():
+    """Two points; {0} open, {1} closed."""
+    return ft.FinSpace(2, (frozenset({0}), frozenset({0, 1})))
+
+
+def indiscrete_space(n):
+    return ft.FinSpace(n, (frozenset(range(n)),) * n)
+
+
+def subspace_with_inclusion(space, pointset):
+    sub = ft.subspace(space, pointset)
+    return sub, ft.ContinuousMap(sub, space, tuple(sorted(set(pointset))))
+
+
+def map_to_json(f):
+    return {"dom": ft.space_to_json(f.dom), "cod": ft.space_to_json(f.cod), "assign": list(f.assign)}
+
+
+def map_from_json(doc):
+    return ft.make_map(ft.space_from_json(doc["dom"]), ft.space_from_json(doc["cod"]), doc["assign"])
+
+
+S = sierpinski()
 
 
 def all_maps(dom: ft.FinSpace, cod: ft.FinSpace):
@@ -106,10 +131,10 @@ def test_quotient_degenerate():
 
 def test_fiber_product_open_inclusions_is_intersection():
     x = ft.make_space(3, [[], [0], [1], [0, 1], [0, 2], [0, 1, 2]])
-    u, iu = ft.subspace_with_inclusion(x, [0, 1])
-    v, iv = ft.subspace_with_inclusion(x, [0, 2])
+    u, iu = subspace_with_inclusion(x, [0, 1])
+    v, iv = subspace_with_inclusion(x, [0, 2])
     fp, p1, p2 = ft.fiber_product(iu, iv)
-    inter, _ = ft.subspace_with_inclusion(x, [0])
+    inter, _ = subspace_with_inclusion(x, [0])
     assert fp.n == inter.n == 1
     assert len(fp.opens) == len(inter.opens)
 
@@ -138,7 +163,7 @@ def test_fiber_product_universal_property():
     to_pt = ft.make_map(S, pt, [0, 0])
     fp, p1, p2 = ft.fiber_product(to_pt, to_pt)
     tested = 0
-    for t in (ft.point_space(), ft.discrete_space(2), S, ft.indiscrete_space(2)):
+    for t in (ft.point_space(), ft.discrete_space(2), S, indiscrete_space(2)):
         for u in continuous_maps(t, S):
             for v in continuous_maps(t, S):
                 if ft.compose(to_pt, u).assign != ft.compose(to_pt, v).assign:
@@ -162,7 +187,7 @@ def oracle_is_pullback(p1, p2, f, g):
     if not ft.square_commutes(p1, p2, f, g):
         return False
     apex = p1.dom
-    pool = [ft.point_space(), ft.discrete_space(2), ft.indiscrete_space(2), S]
+    pool = [ft.point_space(), ft.discrete_space(2), indiscrete_space(2), S]
     if apex.n <= 3:
         pool.append(apex)
     for t in pool:
@@ -184,15 +209,15 @@ def oracle_is_pullback(p1, p2, f, g):
 
 def test_is_pullback_square_examples():
     x = ft.make_space(3, [[], [0], [1], [0, 1], [0, 2], [0, 1, 2]])
-    u, iu = ft.subspace_with_inclusion(x, [0, 1])
-    v, iv = ft.subspace_with_inclusion(x, [0, 2])
-    inter, ii = ft.subspace_with_inclusion(x, [0])
+    u, iu = subspace_with_inclusion(x, [0, 1])
+    v, iv = subspace_with_inclusion(x, [0, 2])
+    inter, ii = subspace_with_inclusion(x, [0])
     to_u = ft.make_map(inter, u, [0])
     to_v = ft.make_map(inter, v, [0])
     assert ft.is_pullback_square(to_u, to_v, iu, iv)
     # apex a proper subspace: comparison not surjective
     fp, p1, p2 = ft.fiber_product(ft.identity_map(S), ft.identity_map(S))
-    sub, si = ft.subspace_with_inclusion(fp, [0])
+    sub, si = subspace_with_inclusion(fp, [0])
     assert not ft.is_pullback_square(
         ft.compose(p1, si), ft.compose(p2, si), ft.identity_map(S), ft.identity_map(S)
     )
@@ -200,7 +225,7 @@ def test_is_pullback_square_examples():
     pt = ft.point_space()
     to_pt = ft.make_map(S, pt, [0, 0])
     prod, q1, q2 = ft.fiber_product(to_pt, to_pt)
-    blurred = ft.indiscrete_space(prod.n)
+    blurred = indiscrete_space(prod.n)
     b1 = ft.ContinuousMap(blurred, S, q1.assign)
     b2 = ft.ContinuousMap(blurred, S, q2.assign)
     if ft.is_continuous(b1) and ft.is_continuous(b2):
@@ -232,7 +257,7 @@ def test_is_pullback_square_agrees_with_oracle():
         assert ft.is_pullback_square(p1, p2, f, g)
         assert oracle_is_pullback(p1, p2, f, g)
         if fp.n >= 1:
-            sub, si = ft.subspace_with_inclusion(fp, range(fp.n - 1))
+            sub, si = subspace_with_inclusion(fp, range(fp.n - 1))
             bad1, bad2 = ft.compose(p1, si), ft.compose(p2, si)
             assert ft.is_pullback_square(bad1, bad2, f, g) == oracle_is_pullback(bad1, bad2, f, g)
         checked += 1
@@ -252,8 +277,8 @@ def test_json_roundtrip():
     doc = ft.space_to_json(S)
     assert ft.space_from_json(doc) == S
     f = ft.make_map(S, S, [0, 1])
-    doc = ft.map_to_json(f)
-    assert ft.map_from_json(doc).assign == f.assign
+    doc = map_to_json(f)
+    assert map_from_json(doc).assign == f.assign
 
 
 def test_specialization_dot():

@@ -9,6 +9,58 @@ from sympy.matrices.normalforms import smith_normal_form
 from gluekit import intlinalg as il
 
 
+# --- exact helpers the tests read; the pipeline never runs them
+
+def det(a):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    m, n = il.shape(a)
+    if m != n:
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    M = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k] != 0:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def is_unimodular(a):
+    m, n = il.shape(a)
+    return m == n and det(a) in (1, -1)
+
+
+def int_inverse(a):
+    """Exact inverse of a unimodular integer matrix, else None."""
+    m, n = il.shape(a)
+    if m != n:
+        return None
+    cols = []
+    for i in range(n):
+        e = tuple(1 if j == i else 0 for j in range(n))
+        x = il.solve(a, e)
+        if x is None:
+            return None
+        cols.append(x)
+    inv = il.from_columns(cols, n)
+    if il.mat_mul(a, inv) != il.identity(n):
+        return None
+    return inv
+
+
 def oracle_snf_diagonal(a):
     """Independent row/column reduction oracle via sympy."""
     m = sympy.Matrix([list(r) for r in a])
@@ -30,8 +82,8 @@ def check_snf_contract(a):
     u, s, v = il.snf(a)
     m, n = il.shape(a)
     assert il.mat_mul(il.mat_mul(u, a), v) == s
-    assert il.is_unimodular(u)
-    assert il.is_unimodular(v)
+    assert is_unimodular(u)
+    assert is_unimodular(v)
     diag = [s[i][i] for i in range(min(m, n))]
     assert all(d >= 0 for d in diag)
     for i in range(len(diag) - 1):
@@ -119,15 +171,15 @@ def test_det_matches_sympy():
     for _ in range(40):
         n = rng.randint(1, 5)
         a = il.freeze([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
-        assert il.det(a) == int(sympy.Matrix([list(r) for r in a]).det())
+        assert det(a) == int(sympy.Matrix([list(r) for r in a]).det())
 
 
 def test_int_inverse():
     a = il.freeze([[1, 2], [0, 1]])
-    inv = il.int_inverse(a)
+    inv = int_inverse(a)
     assert inv is not None
     assert il.mat_mul(a, inv) == il.identity(2)
-    assert il.int_inverse(il.freeze([[2, 0], [0, 1]])) is None
+    assert int_inverse(il.freeze([[2, 0], [0, 1]])) is None
 
 
 def test_mat_mul_shape_mismatch():

@@ -9,13 +9,42 @@ from gluekit import abgroups as ab
 from gluekit import cli
 from gluekit import fintop as ft
 from gluekit import generators as gen
+from gluekit import intlinalg as il
 from gluekit import jsonio
 from gluekit import presheaves as ps
 from gluekit import sheafglue as sg
 from gluekit.errors import FalsificationError, ValidationError
 from gluekit.indexcat import generator_path, index_category, single
+from test_abgroups import same_element, scale_hom
+from test_presheaves import inverse_enriched
 
 Z = ab.free_group(1)
+
+
+def extend_section(lim, g, i, v, coords):
+    """Spread one chart section over V to a compatible family when the
+    transition translates determine every component, i.e. when V meets each
+    chart inside the overlap with chart i; absent otherwise."""
+    v = frozenset(v)
+    if any(not (v & g.cover[j]) <= g.cover[i] for j in range(g.n)):
+        return None
+    coords = tuple(coords)
+    pieces = []
+    for j in range(g.n):
+        w = v & g.cover[j]
+        res = g.sheaves[i].res(v & g.cover[i], w)
+        pieces.append(g.transition_component(i, j, w)(res(coords)))
+    assembled = tuple(x for piece in pieces for x in piece)
+    incl = lim.inclusions[v]
+    prod = incl.cod
+    if prod.ambient == 0:
+        return ()
+    rel = prod.relations if (prod.relations and prod.relations[0]) else None
+    block = incl.matrix if rel is None else il.hstack(incl.matrix, rel)
+    sol = il.solve(block, assembled)
+    if sol is None:
+        return None
+    return sol[: incl.dom.ambient]
 
 
 def two_origins_base():
@@ -75,8 +104,8 @@ def test_non_inverse_transitions_rejected():
     r0 = ps.restrict_presheaf(sheaves[0], ov)
     r1 = ps.restrict_presheaf(sheaves[1], ov)
     transitions = {
-        (0, 1): ps.EnrichedMorphism(r0, r1, {o: ab.scale_hom(2, ab.id_hom(r0.group(o))) for o in r0.opens()}),
-        (1, 0): ps.EnrichedMorphism(r1, r0, {o: ab.scale_hom(3, ab.id_hom(r1.group(o))) for o in r1.opens()}),
+        (0, 1): ps.EnrichedMorphism(r0, r1, {o: scale_hom(2, ab.id_hom(r0.group(o))) for o in r0.opens()}),
+        (1, 0): ps.EnrichedMorphism(r1, r0, {o: scale_hom(3, ab.id_hom(r1.group(o))) for o in r1.opens()}),
     }
     data = sg.SheafGluingData(base, cover, sheaves, transitions)
     with pytest.raises(ValidationError):
@@ -91,7 +120,7 @@ def test_natural_but_not_invertible_transition_is_refused_by_inverse_pair(capsys
     data = two_origins_sheaf_data()
     t = data.transitions[(0, 1)]
     point = frozenset({0})
-    doubled = ps.EnrichedMorphism(t.dom, t.cod, {**t.alpha, point: ab.scale_hom(2, t.alpha[point])})
+    doubled = ps.EnrichedMorphism(t.dom, t.cod, {**t.alpha, point: scale_hom(2, t.alpha[point])})
     assert ps.check_enriched_morphism(doubled) == (True, [])
     assert not ab.is_iso(doubled.alpha[point])
     broken = sg.SheafGluingData(data.base, data.cover, data.sheaves, {**data.transitions, (0, 1): doubled})
@@ -130,7 +159,7 @@ def test_cocycle_corruption_rejected_on_three_charts():
         key, o = target
         broken = dict(transitions)
         comps = dict(broken[key].alpha)
-        comps[o] = ab.scale_hom(2, comps[o])
+        comps[o] = scale_hom(2, comps[o])
         broken[key] = ps.EnrichedMorphism(broken[key].dom, broken[key].cod, comps)
         data = sg.SheafGluingData(base, tuple(cover), charts, broken)
         with pytest.raises(ValidationError):
@@ -164,10 +193,10 @@ def test_projections_natural_and_retraction_law():
                 continue
             chart_group = functor.sheaves[i].group(v & functor.cover[i])
             probe = tuple(2 for _ in range(chart_group.ambient))
-            lifted = sg.extend_section(lim, functor, i, v, probe)
+            lifted = extend_section(lim, functor, i, v, probe)
             assert lifted is not None
             back = lim.projections[i][v](lifted)
-            assert ab.same_element(chart_group, back, probe)
+            assert same_element(chart_group, back, probe)
 
 
 def test_extend_section_single_chart_is_identity():
@@ -176,7 +205,7 @@ def test_extend_section_single_chart_is_identity():
     sheaves = (ps.locally_constant_sheaf(base, base.full(), Z),)
     functor = sg.sheaf_functor_from_data(sg.SheafGluingData(base, cover, sheaves, {}))
     lim = sg.build_limit_sheaf(functor)
-    got = sg.extend_section(lim, functor, 0, base.full(), (7,))
+    got = extend_section(lim, functor, 0, base.full(), (7,))
     assert got is not None
     assert lim.projections[0][base.full()](got) == (7,)
 
@@ -189,7 +218,7 @@ def test_extend_section_absent_outside_domain():
     # does not typecheck and the extension is absent
     v = data.base.full()
     chart_group = functor.sheaves[0].group(v & functor.cover[0])
-    assert sg.extend_section(lim, functor, 0, v, (1,) * chart_group.ambient) is None
+    assert extend_section(lim, functor, 0, v, (1,) * chart_group.ambient) is None
 
 
 def test_verify_sheaf_glued_self_twisted_and_corrupted():
@@ -215,7 +244,7 @@ def test_verify_sheaf_glued_self_twisted_and_corrupted():
             if v <= u
         },
     )
-    inv = ps.inverse_enriched(twist)
+    inv = inverse_enriched(twist)
     twisted_legs = {
         a: ps.EnrichedMorphism(
             twisted,
@@ -244,7 +273,7 @@ def test_limit_universal_property_against_presheaf_cones():
     cones = 0
     for m in (0, 1, 2, 3):
         # scaling endomorphisms of the limit give presheaf cones
-        theta = {o: ab.scale_hom(m, ab.id_hom(lim.carrier.group(o))) for o in lim.carrier.opens()}
+        theta = {o: scale_hom(m, ab.id_hom(lim.carrier.group(o))) for o in lim.carrier.opens()}
         legs = {
             a: ps.EnrichedMorphism(
                 lim.carrier,
@@ -374,12 +403,12 @@ def test_generator_cone_check_matches_all_morphism_oracle():
         families = [
             lim.legs,
             with_one_component_changed(rng, lim.legs, zeroed),
-            with_one_component_changed(rng, lim.legs, lambda h: ab.scale_hom(2, h)),
+            with_one_component_changed(rng, lim.legs, lambda h: scale_hom(2, h)),
             # commutes with every arrow out of a chart; only the transitions can tell
             extended_from_charts(functor, with_one_component_changed(rng, chart_legs, zeroed)),
             # the triple legs still agree among themselves; only the triple inclusions can tell
             {a: leg if a.kind != "triple" else ps.EnrichedMorphism(
-                leg.dom, leg.cod, {w: ab.scale_hom(2, h) for w, h in leg.alpha.items()})
+                leg.dom, leg.cod, {w: scale_hom(2, h) for w, h in leg.alpha.items()})
              for a, leg in lim.legs.items()},
         ]
         for k, legs in enumerate(families):
@@ -421,7 +450,7 @@ def negated(transitions, keys):
     out = dict(transitions)
     for key in keys:
         iso = out[key]
-        out[key] = ps.EnrichedMorphism(iso.dom, iso.cod, {w: ab.scale_hom(-1, h) for w, h in iso.alpha.items()})
+        out[key] = ps.EnrichedMorphism(iso.dom, iso.cod, {w: scale_hom(-1, h) for w, h in iso.alpha.items()})
     return out
 
 

@@ -9,8 +9,9 @@ from gluekit import generators as gen
 from gluekit import topglue as tg
 from gluekit.errors import FalsificationError, ValidationError
 from gluekit.indexcat import Eta, EtaT, Tau, generator_path, index_category, pair, single, triple
+from test_fintop import indiscrete_space, sierpinski
 
-S = ft.sierpinski()
+S = sierpinski()
 
 
 def two_origins_data(open_variant=True):
@@ -88,7 +89,7 @@ def test_validate_functor_report_styles():
         assert not report["ok"]
     # non-open attaching map in the open variant
     pt = ft.point_space()
-    indiscrete2 = ft.indiscrete_space(2)
+    indiscrete2 = indiscrete_space(2)
     ups = {(0, 1): ft.make_map(indiscrete2, S, [1, 1]), (1, 0): ft.make_map(indiscrete2, S, [1, 1])}
     trans = {(0, 1): ft.identity_map(indiscrete2), (1, 0): ft.identity_map(indiscrete2)}
     d = tg.TopGluingData((S, S), ups, trans, {}, {}, {}, True)
@@ -204,7 +205,7 @@ def with_foreign_domain(g, gen_key):
     """g with the arrow at gen_key moved onto a different space of the same
     size, so its domain no longer is the object it should start from."""
     old = g.arrows[gen_key]
-    other = ft.indiscrete_space(old.dom.n)
+    other = indiscrete_space(old.dom.n)
     if other == old.dom:
         other = ft.discrete_space(old.dom.n)
     arrows = dict(g.arrows)
@@ -248,7 +249,7 @@ def test_is_cone_matches_reference_on_seeded_cones():
 def test_verify_glued_indiscrete_candidate():
     g = tg.functor_from_data(two_origins_data())
     rep = tg.standard_representative(g)
-    blurred = ft.indiscrete_space(rep.space.n)
+    blurred = indiscrete_space(rep.space.n)
     iota = {
         a: ft.ContinuousMap(m.dom, blurred, m.assign) for a, m in rep.iota.items()
     }
@@ -266,7 +267,7 @@ def test_plain_variant_surfaces_final_topology_separately():
     # into the verdict
     g = tg.functor_from_data(two_origins_data(open_variant=False))
     rep = tg.standard_representative(g)
-    blurred = ft.indiscrete_space(rep.space.n)
+    blurred = indiscrete_space(rep.space.n)
     iota = {
         a: ft.ContinuousMap(m.dom, blurred, m.assign) for a, m in rep.iota.items()
     }
