@@ -205,9 +205,8 @@ def kernel(h: AbHom) -> tuple[FgAbGroup, AbHom]:
     return k, incl
 
 
-def product(groups) -> tuple[FgAbGroup, list[AbHom], list[AbHom]]:
-    """Direct product with canonical projections and injections."""
-    groups = list(groups)
+def product_group(groups) -> FgAbGroup:
+    """Direct product, with the groups' generators in order."""
     ambient = sum(g.ambient for g in groups)
     rel_cols = []
     offset = 0
@@ -218,19 +217,7 @@ def product(groups) -> tuple[FgAbGroup, list[AbHom], list[AbHom]]:
                     (0,) * offset + col + (0,) * (ambient - offset - g.ambient)
                 )
         offset += g.ambient
-    prod = FgAbGroup(ambient, il.from_columns(rel_cols, ambient) if rel_cols else ())
-    projections, injections = [], []
-    offset = 0
-    for g in groups:
-        proj = tuple(
-            tuple(1 if j == offset + i else 0 for j in range(ambient))
-            for i in range(g.ambient)
-        )
-        inj = il.transpose(proj)
-        projections.append(AbHom(prod, g, proj))
-        injections.append(AbHom(g, prod, inj))
-        offset += g.ambient
-    return prod, projections, injections
+    return FgAbGroup(ambient, il.from_columns(rel_cols, ambient) if rel_cols else ())
 
 
 def equalizer(f: AbHom, g: AbHom) -> tuple[FgAbGroup, AbHom]:
@@ -260,15 +247,10 @@ def is_iso(h: AbHom) -> bool:
 
 
 def inverse_hom(h: AbHom) -> AbHom | None:
-    """Two-sided inverse of an isomorphism, else None."""
-    if not is_iso(h):
-        return None
+    """Two-sided inverse of an isomorphism, else None: the g with h∘g = id
+    that ``factor_through`` finds and checks, when also g∘h = id."""
     g = factor_through(id_hom(h.cod), h)
-    if g is None:
-        return None
-    if not same_hom(compose_hom(h, g), id_hom(h.cod)):
-        return None
-    if not same_hom(compose_hom(g, h), id_hom(h.dom)):
+    if g is None or not same_hom(compose_hom(g, h), id_hom(h.dom)):
         return None
     return g
 

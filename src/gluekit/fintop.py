@@ -38,6 +38,18 @@ class FinSpace:
         """The opens by size, then by their sorted points: a total order."""
         return tuple(sorted(self.opens, key=lambda o: (len(o), sorted(o))))
 
+    @cached_property
+    def lower_covers(self) -> dict[Open, tuple[Open, ...]]:
+        """Each open's maximal proper open subsets, by their points: u less
+        the class {x : U_x = U_y} of a point y of u in the minimal open of
+        no point of u outside that class (one point when the space is T0)."""
+        above = [frozenset(x for x, ux in enumerate(self.minimal) if y in ux) for y in range(self.n)]
+        same = [frozenset(x for x in above[y] if self.minimal[x] == self.minimal[y]) for y in range(self.n)]
+        return {
+            u: tuple(sorted({u - same[y] for y in u if above[y] & u <= same[y]}, key=sorted))
+            for u in self.sorted_opens
+        }
+
     def __repr__(self):
         return f"FinSpace({self.n}, minimal={[sorted(ux) for ux in self.minimal]})"
 

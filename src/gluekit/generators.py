@@ -221,18 +221,17 @@ def random_sheaf_data(rng: random.Random, max_points: int = 4, max_charts: int =
     global_sheaf = ps.locally_constant_sheaf(space, space.full(), base_group)
     charts = []
     twists = []
+    inverses = []
     for c in cover:
         restricted = ps.restrict_presheaf(global_sheaf, c)
         theta = natural_automorphism(rng, restricted, base_group)
+        inverse = {o: ab.inverse_hom(h) for o, h in theta.alpha.items()}
         twisted = ps.Presheaf(
             space,
             c,
             {o: restricted.group(o) for o in restricted.opens()},
             {
-                (u, v): ab.compose_hom(
-                    theta.alpha[v],
-                    ab.compose_hom(restricted.res(u, v), ab.inverse_hom(theta.alpha[u])),
-                )
+                (u, v): ab.compose_hom(theta.alpha[v], ab.compose_hom(restricted.res(u, v), inverse[u]))
                 for u in restricted.opens()
                 for v in restricted.opens()
                 if v <= u
@@ -240,12 +239,13 @@ def random_sheaf_data(rng: random.Random, max_points: int = 4, max_charts: int =
         )
         charts.append(twisted)
         twists.append(theta)
+        inverses.append(inverse)
     transitions = {}
     for i, j in permutations(range(len(cover)), 2):
         overlap = cover[i] & cover[j]
         comps = {}
         for o in ps.opens_below(space, overlap):
-            comps[o] = ab.compose_hom(twists[j].alpha[o], ab.inverse_hom(twists[i].alpha[o]))
+            comps[o] = ab.compose_hom(twists[j].alpha[o], inverses[i][o])
         transitions[(i, j)] = ps.EnrichedMorphism(
             ps.restrict_presheaf(charts[i], overlap), ps.restrict_presheaf(charts[j], overlap), comps
         )

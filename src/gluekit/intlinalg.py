@@ -7,6 +7,7 @@ overflow to detect: every intermediate entry lives in arbitrary precision.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul, sub
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -30,8 +31,7 @@ def identity(n: int) -> Matrix:
 
 
 def transpose(a: Matrix) -> Matrix:
-    m, n = shape(a)
-    return tuple(tuple(a[i][j] for i in range(m)) for j in range(n))
+    return tuple(zip(*a))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -40,20 +40,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if na != mb:
         raise ValueError(f"shape mismatch: {ma}x{na} times {mb}x{nb}")
     bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    m, n = shape(a)
-    if n != len(v):
+    if shape(a)[1] != len(v):
         raise ValueError("shape mismatch in mat_vec")
-    return tuple(sum(a[i][j] * v[j] for j in range(n)) for i in range(m))
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(a, b))
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
@@ -63,8 +60,7 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
 
 
 def columns(a: Matrix) -> list[Vector]:
-    m, n = shape(a)
-    return [tuple(a[i][j] for i in range(m)) for j in range(n)]
+    return list(zip(*a))
 
 
 def from_columns(cols: list[Vector], rows: int) -> Matrix:

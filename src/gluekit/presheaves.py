@@ -6,11 +6,12 @@ presheaf laws are checked in one place, ``presheaf_law_failures``, and the
 naturality squares of a morphism in another, ``naturality_failures``; both
 take the section operations as arguments, so ``make_presheaf`` and
 ``check_enriched_morphism`` pass the group ones and ``ringedglue`` the
-ring ones.  ``EnrichedMorphism`` is the one morphism type: a natural
-transformation on one domain is the case whose open part is the identity.
-The sheaf condition is decided through equalizers on one cover per open,
-its minimal cover: the canonical map into the compatible-family subgroup
-must be an isomorphism.
+ring ones.  Both decide on covering pairs of opens, the naturality check
+when it is given the lower covers.  ``EnrichedMorphism`` is the one
+morphism type: a natural transformation on one domain is the case whose
+open part is the identity.  The sheaf condition is decided through
+equalizers on one cover per open, its minimal cover: the canonical map
+into the compatible-family subgroup must be an isomorphism.
 
 Convention: sections over the empty set form the trivial group.
 """
@@ -18,6 +19,7 @@ Convention: sections over the empty set form the trivial group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import abgroups as ab
 from .errors import ValidationError
@@ -34,6 +36,10 @@ class Presheaf:
     restrictions: dict[RestrKey, ab.AbHom]
 
     def opens(self) -> list[Open]:
+        return self._opens
+
+    @cached_property
+    def _opens(self) -> list[Open]:
         return opens_below(self.space, self.domain)
 
     def group(self, v) -> ab.FgAbGroup:
@@ -48,15 +54,23 @@ def opens_below(space: FinSpace, domain: Open) -> list[Open]:
     return [o for o in space.sorted_opens if o <= domain]
 
 
-def presheaf_law_failures(opens, sections, restrictions, is_hom, compose, same, identity) -> list[str]:
+def presheaf_law_failures(opens, sections, restrictions, is_hom, compose, same, identity, lower_covers) -> list[str]:
     """The presheaf laws over ``opens``, for any kind of sections: ``is_hom``
     tells a homomorphism, ``compose(f, g)`` is f after g, ``same`` compares
-    homs and ``identity`` gives the identity on a section object.
+    homs and ``identity`` gives the identity on a section object;
+    ``lower_covers`` is the space's ``FinSpace.lower_covers`` and ``opens``
+    a down-set of it.
 
     The laws are checked in stages, each only when the one before holds:
     sections present; restrictions present, typed and homomorphisms; the
     identity on each open and every composite.  The failures of the first
     failing stage are returned, in the order of ``opens``.
+
+    The composites are checked through the lower covers first: for w < c
+    with c a lower cover of u.  They give all: for w < v < u and c a lower
+    cover of u above v, r_vw ∘ r_uv = r_vw ∘ r_cv ∘ r_uc = r_cw ∘ r_uc =
+    r_uw by induction on c.  The full loop runs, to list the failures, only
+    when one fails or an identity does.
     """
     problems = [f"missing sections over {sorted(o)}" for o in opens if o not in sections]
     if problems:
@@ -77,20 +91,21 @@ def presheaf_law_failures(opens, sections, restrictions, is_hom, compose, same, 
     for u in opens:
         if not same(restrictions[(u, u)], identity(sections[u])):
             problems.append(f"restriction on {sorted(u)} is not the identity")
-    for u in opens:
-        for v in opens:
-            if not v < u:
-                continue
-            for w in opens:
-                if not w < v:
-                    continue
-                composite = compose(restrictions[(v, w)], restrictions[(u, v)])
-                if not same(composite, restrictions[(u, w)]):
-                    problems.append(f"composite {sorted(u)} -> {sorted(v)} -> {sorted(w)} disagrees")
-    return problems
+
+    def composes(u, v, w):
+        return same(compose(restrictions[(v, w)], restrictions[(u, v)]), restrictions[(u, w)])
+
+    if not problems and all(
+        composes(u, c, w) for u in opens for c in lower_covers[u] for w in opens if w < c
+    ):
+        return problems
+    return problems + [
+        f"composite {sorted(u)} -> {sorted(v)} -> {sorted(w)} disagrees"
+        for u in opens for v in opens if v < u for w in opens if w < v and not composes(u, v, w)
+    ]
 
 
-def naturality_failures(opens, image, component, dom_res, cod_res, compose, same) -> list[tuple[Open, Open]]:
+def naturality_failures(opens, image, component, dom_res, cod_res, compose, same, lower_covers=None) -> list[tuple[Open, Open]]:
     """The naturality squares over ``opens`` that fail, for any kind of
     sections.  ``component(w)`` runs from the domain's sections over w to
     the codomain's over ``image(w)``; the square of v below u commutes when
@@ -102,16 +117,23 @@ def naturality_failures(opens, image, component, dom_res, cod_res, compose, same
     ``opens``.  The square with v = u is not checked: both of its
     restrictions are identities by the identity law, which both ends
     already satisfy, so it commutes.
+
+    With ``lower_covers`` (as in ``presheaf_law_failures``), the squares
+    from u to a lower cover c are checked first, and the full loop runs
+    only to list failures.  Pass it only when both ends satisfy the
+    presheaf laws and every component is a homomorphism: then the square of
+    v below u pastes those of v below c and of c below u (a component that
+    is not a homomorphism can tell r_uv from r_cv ∘ r_uc although the two
+    agree), so the covering squares decide every square.
     """
     images = {w: image(w) for w in opens}
-    failures = []
-    for u in opens:
-        for v in opens:
-            if v < u and not same(
-                compose(cod_res(images[u], images[v]), component(u)), compose(component(v), dom_res(u, v))
-            ):
-                failures.append((u, v))
-    return failures
+
+    def commutes(u, v):
+        return same(compose(cod_res(images[u], images[v]), component(u)), compose(component(v), dom_res(u, v)))
+
+    if lower_covers is not None and all(commutes(u, c) for u in opens for c in lower_covers[u]):
+        return []
+    return [(u, v) for u in opens for v in opens if v < u and not commutes(u, v)]
 
 
 def make_presheaf(space: FinSpace, domain, sections, restrictions) -> Presheaf:
@@ -124,7 +146,7 @@ def make_presheaf(space: FinSpace, domain, sections, restrictions) -> Presheaf:
     restrictions = {(frozenset(u), frozenset(v)): h for (u, v), h in restrictions.items()}
     problems = presheaf_law_failures(
         opens_below(space, domain), sections, restrictions,
-        ab.is_well_defined, ab.compose_hom, ab.same_hom, ab.id_hom,
+        ab.is_well_defined, ab.compose_hom, ab.same_hom, ab.id_hom, space.lower_covers,
     )
     if problems:
         raise ValidationError("; ".join(problems))
@@ -136,7 +158,7 @@ def restrict_presheaf(f: Presheaf, u) -> Presheaf:
     u = frozenset(u)
     if u not in f.space.opens or not u <= f.domain:
         raise ValidationError("can only restrict to an open below the domain")
-    opens = opens_below(f.space, u)
+    opens = [o for o in f.opens() if o <= u]
     sections = {o: f.sections[o] for o in opens}
     restrictions = {
         (a, b): f.restrictions[(a, b)] for a in opens for b in opens if b <= a
@@ -152,18 +174,36 @@ def _stack_homs(parts: list[ab.AbHom], dom: ab.FgAbGroup, cod_product: ab.FgAbGr
     return ab.AbHom(dom, cod_product, tuple(rows) if cod_product.ambient else ())
 
 
+def _from_factors(dom: ab.FgAbGroup, cod: ab.FgAbGroup, blocks) -> ab.AbHom:
+    """The hom from the product ``dom`` into ``cod`` stacking, for each
+    (h, offset) in ``blocks``, h after the projection onto the factor at
+    ``offset``: h's rows padded with zeros, as the 0/1 product would give."""
+    rows: list[tuple[int, ...]] = []
+    for h, offset in blocks:
+        if h.dom.ambient and h.cod.ambient and dom.ambient:
+            left, right = (0,) * offset, (0,) * (dom.ambient - offset - h.dom.ambient)
+            rows += [left + row + right for row in h.matrix]
+        else:
+            rows += [(0,) * dom.ambient] * h.cod.ambient
+    return ab.AbHom(dom, cod, tuple(rows) if cod.ambient else ())
+
+
+def _offsets(groups) -> list[int]:
+    """Where each group's generators start in their product."""
+    return [sum(g.ambient for g in groups[:k]) for k in range(len(groups))]
+
+
 def sheaf_condition_on_cover(f: Presheaf, v: Open, cover) -> tuple[bool, bool]:
     """(identity axiom, gluing axiom) for one open and one cover of it."""
     cover = [frozenset(c) for c in cover]
-    p_prod, proj, _ = ab.product([f.group(c) for c in cover])
+    groups = [f.group(c) for c in cover]
+    p_prod, at = ab.product_group(groups), _offsets(groups)
     r = _stack_homs([f.res(v, c) for c in cover], f.group(v), p_prod)
     n = len(cover)
     pairs = [(a, b, cover[a] & cover[b]) for a in range(n) for b in range(a + 1, n)]
-    d_prod, _, _ = ab.product([f.group(inter) for _, _, inter in pairs])
-    first_parts = [ab.compose_hom(f.res(cover[a], inter), proj[a]) for a, _, inter in pairs]
-    second_parts = [ab.compose_hom(f.res(cover[b], inter), proj[b]) for _, b, inter in pairs]
-    p_hom = _stack_homs(first_parts, p_prod, d_prod)
-    q_hom = _stack_homs(second_parts, p_prod, d_prod)
+    d_prod = ab.product_group([f.group(inter) for _, _, inter in pairs])
+    p_hom = _from_factors(p_prod, d_prod, [(f.res(cover[a], inter), at[a]) for a, _, inter in pairs])
+    q_hom = _from_factors(p_prod, d_prod, [(f.res(cover[b], inter), at[b]) for _, b, inter in pairs])
     eq_group, incl = ab.equalizer(p_hom, q_hom)
     factored = ab.factor_through(r, incl)
     if factored is None:
@@ -200,8 +240,7 @@ def locally_constant_sheaf(space: FinSpace, domain, group: ab.FgAbGroup) -> Pres
     comps = {o: components_of_open(space, o) for o in opens}
     sections = {}
     for o in opens:
-        prod, _, _ = ab.product([group] * len(comps[o]))
-        sections[o] = prod
+        sections[o] = ab.product_group([group] * len(comps[o]))
     restrictions = {}
     g_amb = group.ambient
     for u in opens:
@@ -240,8 +279,10 @@ def identity_enriched(f: Presheaf) -> EnrichedMorphism:
 
 
 def check_enriched_morphism(m: EnrichedMorphism) -> tuple[bool, list[dict]]:
-    """Exhaustive check of the components' endpoints, then of the
-    naturality squares (``naturality_failures``)."""
+    """Exhaustive check that the components are homomorphisms with the
+    right endpoints, then of the naturality squares (``naturality_failures``)
+    on the covering pairs.  Both ends must satisfy the presheaf laws, as
+    ``make_presheaf`` checks them and ``restrict_presheaf`` keeps them."""
     failures = []
     u, v = m.dom.domain, m.cod.domain
     if not v <= u:
@@ -254,10 +295,13 @@ def check_enriched_morphism(m: EnrichedMorphism) -> tuple[bool, list[dict]]:
             failures.append({"open": sorted(w), "error": "missing component"})
         elif h.dom != m.dom.group(w) or h.cod != m.cod.group(w & v):
             failures.append({"open": sorted(w), "error": "wrong endpoints"})
+        elif not ab.is_well_defined(h):
+            failures.append({"open": sorted(w), "error": "not a homomorphism"})
     if failures:
         return False, failures
     squares = naturality_failures(
-        m.dom.opens(), lambda w: w & v, m.alpha.__getitem__, m.dom.res, m.cod.res, ab.compose_hom, ab.same_hom
+        m.dom.opens(), lambda w: w & v, m.alpha.__getitem__, m.dom.res, m.cod.res, ab.compose_hom, ab.same_hom,
+        m.dom.space.lower_covers,
     )
     failures = [{"square": (sorted(w), sorted(w2))} for w, w2 in squares]
     return not failures, failures

@@ -62,7 +62,7 @@ def make_ringed_space(top: FinSpace, sections, restr) -> RingedSpace:
     restr = {(frozenset(u), frozenset(v)): h for (u, v), h in restr.items()}
     problems = presheaf_law_failures(
         top.sorted_opens, sections, restr,
-        rg.is_ring_hom, rg.compose_ring_hom, operator.eq, rg.identity_ring_hom,
+        rg.is_ring_hom, rg.compose_ring_hom, operator.eq, rg.identity_ring_hom, top.lower_covers,
     )
     if problems:
         raise ValidationError("; ".join(problems))

@@ -8,8 +8,8 @@ identity open parts.  Each transition's naturality is checked by
 ``check_enriched_morphism``; its other laws (inverse to its mirror, which
 makes it an isomorphism, and the cocycle law) only as the index category's
 generator relations.  The limit sheaf is materialized per open as the
-equalizer subgroup of the product of chart sections: the compatible
-families.
+equalizer subgroup of the product of chart sections, the compatible
+families; restrictions are factored on covering pairs of opens only.
 """
 
 from __future__ import annotations
@@ -45,24 +45,21 @@ class SheafGluingData:
     sheaves: tuple[ps.Presheaf, ...]
     transitions: dict[tuple[int, int], ps.EnrichedMorphism]
 
+    def __post_init__(self):
+        self._objects: dict[IdxObj, ps.Presheaf] = {}
+
     @property
     def n(self) -> int:
         return len(self.cover)
 
-    def overlap(self, i: int, j: int) -> Open:
-        return self.cover[i] & self.cover[j]
-
-    def triple_overlap(self, i: int, j: int, k: int) -> Open:
-        return self.cover[i] & self.cover[j] & self.cover[k]
-
     def obj(self, a: IdxObj) -> ps.Presheaf:
+        """Chart ``a.apex`` restricted to the object's zone, built once."""
         if a.kind == "single":
             return self.sheaves[a.apex]
-        if a.kind == "pair":
-            i, (j,) = a.apex, a.rest
-            return ps.restrict_presheaf(self.sheaves[i], self.overlap(i, j))
-        i, (j, k) = a.apex, a.rest
-        return ps.restrict_presheaf(self.sheaves[i], self.triple_overlap(i, j, k))
+        if a not in self._objects:
+            zone = frozenset.intersection(*(self.cover[j] for j in (a.apex, *a.rest)))
+            self._objects[a] = ps.restrict_presheaf(self.sheaves[a.apex], zone)
+        return self._objects[a]
 
     def transition_component(self, i: int, j: int, w) -> ab.AbHom:
         """Component of the transition from chart i to chart j at an open
@@ -86,11 +83,13 @@ def sheaf_functor_from_data(data: SheafGluingData) -> SheafGluingData:
     return it.
 
     Checks the cover, the chart domains, that each transition is a natural
-    transformation between the two charts' restrictions to their overlap,
-    the generator relations (among them ``inverse_pair``, each transition
-    inverse to its mirror in both orders, so an isomorphism, and
-    ``triple_composition``, the cocycle law), and that every chart is a
-    sheaf.
+    transformation between the two charts' restrictions to their overlap
+    (``check_enriched_morphism``: homomorphisms, natural on the covering
+    pairs, which decide every square because the charts satisfy the
+    presheaf laws, as ``make_presheaf`` checks on parse), the generator
+    relations (among them ``inverse_pair``, each transition inverse to its
+    mirror in both orders, so an isomorphism, and ``triple_composition``,
+    the cocycle law), and that every chart is a sheaf.
     """
     n = data.n
     if n == 0:
@@ -144,66 +143,70 @@ class LimitSheaf:
     legs: dict[IdxObj, ps.EnrichedMorphism]
 
 
+def _factor_block(incl: ab.AbHom, part: ab.FgAbGroup, offset: int) -> ab.AbHom:
+    """The projection onto the product factor ``part`` at ``offset``, after
+    ``incl``: the rows of incl's matrix for that factor."""
+    if not (incl.dom.ambient and part.ambient):
+        return ab.zero_hom(incl.dom, part)
+    return ab.AbHom(incl.dom, part, incl.matrix[offset:offset + part.ambient])
+
+
 def build_limit_sheaf(g: SheafGluingData) -> LimitSheaf:
     """Sections over V are the transition-compatible tuples of chart
     sections; restrictions act componentwise through a factorization that
-    must exist, and the chart projections assemble into a limit cone."""
+    must exist, and the chart projections assemble into a limit cone.
+
+    The factorization runs on u -> u and the covering pairs u -> c
+    (``FinSpace.lower_covers``); another u -> v is r_cv after r_uc for a
+    lower cover c above v, the one map with the defining property, as the
+    charts satisfy the presheaf laws and the inclusions are injective.
+    """
     base = g.base
-    opens = ps.opens_below(base, base.full())
-    part_groups: dict[Open, list[ab.FgAbGroup]] = {}
+    opens = base.sorted_opens
     products: dict[Open, ab.FgAbGroup] = {}
-    part_projs: dict[Open, list[ab.AbHom]] = {}
     inclusions: dict[Open, ab.AbHom] = {}
     section_groups: dict[Open, ab.FgAbGroup] = {}
+    projections: dict[int, dict[Open, ab.AbHom]] = {i: {} for i in range(g.n)}
     for v in opens:
         parts = [g.sheaves[i].group(v & g.cover[i]) for i in range(g.n)]
-        prod, projs, _ = ab.product(parts)
-        part_groups[v] = parts
-        products[v] = prod
-        part_projs[v] = projs
-        constraints_first = []
-        constraints_second = []
-        for i, j in permutations(range(g.n), 2):
-            w = v & g.overlap(i, j)
-            res_i = g.sheaves[i].res(v & g.cover[i], w)
-            res_j = g.sheaves[j].res(v & g.cover[j], w)
-            phi = g.transition_component(i, j, w)
-            constraints_first.append(ab.compose_hom(phi, ab.compose_hom(res_i, projs[i])))
-            constraints_second.append(ab.compose_hom(res_j, projs[j]))
-        if constraints_first:
-            targets = [h.cod for h in constraints_first]
-            d_prod, _, _ = ab.product(targets)
-            p_hom = ps._stack_homs(constraints_first, prod, d_prod)
-            q_hom = ps._stack_homs(constraints_second, prod, d_prod)
-            sec, incl = ab.equalizer(p_hom, q_hom)
+        prod = products[v] = ab.product_group(parts)
+        at = ps._offsets(parts)
+        if g.n > 1:
+            pairs = [(i, j, v & g.cover[i] & g.cover[j]) for i, j in permutations(range(g.n), 2)]
+            phis = [g.transition_component(i, j, w) for i, j, w in pairs]
+            d_prod = ab.product_group([phi.cod for phi in phis])
+            first = [(ab.compose_hom(phi, g.sheaves[i].res(v & g.cover[i], w)), at[i])
+                     for phi, (i, _, w) in zip(phis, pairs)]
+            second = [(g.sheaves[j].res(v & g.cover[j], w), at[j]) for _, j, w in pairs]
+            sec, incl = ab.equalizer(ps._from_factors(prod, d_prod, first), ps._from_factors(prod, d_prod, second))
         else:
             sec, incl = prod, ab.id_hom(prod)
         section_groups[v] = sec
         inclusions[v] = incl
+        for i in range(g.n):
+            projections[i][v] = _factor_block(incl, parts[i], at[i])
     restrictions: dict[tuple[Open, Open], ab.AbHom] = {}
     for u in opens:
-        for v in opens:
-            if not v <= u:
-                continue
-            blocks = [g.sheaves[i].res(u & g.cover[i], v & g.cover[i]) for i in range(g.n)]
-            prod_res_parts = [
-                ab.compose_hom(blocks[i], part_projs[u][i]) for i in range(g.n)
+        covers = base.lower_covers[u]
+        for c in (u, *covers):
+            blocks = [
+                ab.compose_hom(g.sheaves[i].res(u & g.cover[i], c & g.cover[i]), projections[i][u])
+                for i in range(g.n)
             ]
-            prod_res = ps._stack_homs(prod_res_parts, products[u], products[v])
-            fac = ab.factor_through(ab.compose_hom(prod_res, inclusions[u]), inclusions[v])
+            fac = ab.factor_through(ps._stack_homs(blocks, section_groups[u], products[c]), inclusions[c])
             if fac is None:
                 raise FalsificationError(
                     "limit-sheaf restriction does not preserve compatibility"
                 )
-            restrictions[(u, v)] = fac
+            restrictions[(u, c)] = fac
+        for v in opens:
+            if v < u and (u, v) not in restrictions:
+                c = next(c for c in covers if v <= c)
+                restrictions[(u, v)] = ab.compose_hom(restrictions[(c, v)], restrictions[(u, c)])
     try:
         carrier = ps.make_presheaf(base, base.full(), section_groups, restrictions)
     except ValidationError as exc:
         raise FalsificationError(f"limit presheaf failed a presheaf law: {exc}") from exc
-    projections = {
-        i: {v: ab.compose_hom(part_projs[v][i], inclusions[v]) for v in opens}
-        for i in range(g.n)
-    }
     legs: dict[IdxObj, ps.EnrichedMorphism] = {}
     for i in range(g.n):
         legs[single(i)] = ps.EnrichedMorphism(carrier, g.sheaves[i], dict(projections[i]))
@@ -261,9 +264,12 @@ def verify_sheaf_glued(
     if comps is None:
         return report
     report["comparison_exists"] = True
+    # the carrier passed make_presheaf and factor_through gives homomorphisms;
+    # another candidate's laws are unchecked
+    checked = candidate.space.lower_covers if candidate is lim.carrier else None
     report["comparison_iso"] = all(ab.is_iso(h) for h in comps.values()) and not ps.naturality_failures(
         candidate.opens(), lambda w: w, comps.__getitem__, candidate.res, lim.carrier.res,
-        ab.compose_hom, ab.same_hom,
+        ab.compose_hom, ab.same_hom, checked,
     )
     commute_ok = all(
         ab.same_hom(ab.compose_hom(lim.projections[i][v], comps[v]), legs[single(i)].component(v))

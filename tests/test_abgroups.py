@@ -21,6 +21,23 @@ def same_element(g, x, y):
     return ab.in_relation_span(g, tuple(a - b for a, b in zip(x, y)))
 
 
+def product(groups):
+    """Direct product with canonical projections and injections."""
+    groups = list(groups)
+    prod = ab.product_group(groups)
+    projections, injections = [], []
+    offset = 0
+    for g in groups:
+        proj = tuple(
+            tuple(1 if j == offset + i else 0 for j in range(prod.ambient))
+            for i in range(g.ambient)
+        )
+        projections.append(ab.AbHom(prod, g, proj))
+        injections.append(ab.AbHom(g, prod, il.transpose(proj)))
+        offset += g.ambient
+    return prod, projections, injections
+
+
 def scale_hom(c, f):
     return ab.AbHom(f.dom, f.cod, tuple(tuple(c * x for x in row) for row in f.matrix))
 
@@ -158,7 +175,7 @@ def test_kernel_examples():
 
 
 def test_product_and_equalizer_examples():
-    prod, projs, injs = ab.product([Z, Z2])
+    prod, projs, injs = product([Z, Z2])
     assert ab.invariants(prod) == (1, (2,))
     g = ab.group_from_invariants(1, (3,))
     e, incl = ab.equalizer(ab.id_hom(g), ab.id_hom(g))
@@ -217,7 +234,7 @@ def test_product_universal_property():
     rng = random.Random(9)
     for _ in range(100):
         parts = [random_group(rng) for _ in range(rng.randint(1, 3))]
-        prod, projs, injs = ab.product(parts)
+        prod, projs, injs = product(parts)
         t = random_group(rng)
         comps = [random_hom(rng, t, g) for g in parts]
         rows = []

@@ -4,6 +4,7 @@ from itertools import product as iproduct
 import pytest
 
 from gluekit import fintop as ft
+from gluekit import generators as gen
 from gluekit.errors import ValidationError
 
 
@@ -504,3 +505,18 @@ def test_continuity_and_openness_match_preimage_and_image_references():
         assert (ft.is_continuous(f), ft.is_open_map(f)) == verdict
         seen.add(verdict)
     assert len(seen) == 4
+
+
+def test_lower_covers_are_the_maximal_proper_open_subsets():
+    """Against a brute-force search of the open lattice, on seeded spaces of
+    which many are not T0, where a lower cover removes a whole class."""
+    rng = random.Random(4040)
+    not_t0 = 0
+    for _ in range(1000):
+        space = gen.random_space(rng, max_points=5)
+        not_t0 += len(set(space.minimal)) < space.n
+        for u in space.sorted_opens:
+            below = [c for c in space.opens if c < u]
+            maximal = [c for c in below if not any(c < d for d in below)]
+            assert space.lower_covers[u] == tuple(sorted(maximal, key=sorted)), (space, u)
+    assert not_t0 >= 100, not_t0

@@ -185,3 +185,72 @@ def test_int_inverse():
 def test_mat_mul_shape_mismatch():
     with pytest.raises(ValueError):
         il.mat_mul(il.identity(2), il.identity(3))
+
+
+# --- oracle: the comprehension forms the zip/map kernels replaced
+
+def reference_transpose(a):
+    m, n = il.shape(a)
+    return tuple(tuple(a[i][j] for i in range(m)) for j in range(n))
+
+
+def reference_mat_mul(a, b):
+    ma, na = il.shape(a)
+    mb, nb = il.shape(b)
+    if na != mb:
+        raise ValueError(f"shape mismatch: {ma}x{na} times {mb}x{nb}")
+    bt = reference_transpose(b)
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def reference_mat_vec(a, v):
+    m, n = il.shape(a)
+    if n != len(v):
+        raise ValueError("shape mismatch in mat_vec")
+    return tuple(sum(a[i][j] * v[j] for j in range(n)) for i in range(m))
+
+
+def reference_mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def reference_columns(a):
+    m, n = il.shape(a)
+    return [tuple(a[i][j] for i in range(m)) for j in range(n)]
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_kernels_match_the_comprehension_forms():
+    """Equal results, types included, on seeded shapes with 0 to 5 rows and
+    columns; a 0-row matrix is (), a 0-column one a tuple of empty rows.
+    mat_mul and mat_vec refuse a mismatched shape, which zip would truncate."""
+    rng = random.Random(2026)
+
+    def matrix(m, n):
+        return tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m))
+
+    empty_rows = empty_cols = 0
+    for _ in range(1200):
+        m, k, n = (rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(3))
+        a, b, c = matrix(m, k), matrix(k, n), matrix(m, k)
+        v = tuple(rng.randint(-9, 9) for _ in range(k))
+        empty_rows += m == 0
+        empty_cols += m > 0 and k == 0
+        assert il.transpose(a) == reference_transpose(a)
+        assert il.columns(a) == reference_columns(a)
+        assert il.mat_sub(a, c) == reference_mat_sub(a, c)
+        assert outcome(il.mat_mul, a, b) == outcome(reference_mat_mul, a, b)
+        assert outcome(il.mat_vec, a, v) == outcome(reference_mat_vec, a, v)
+        with pytest.raises(ValueError):
+            il.mat_mul(a, matrix(k + 1, n))
+        with pytest.raises(ValueError):
+            il.mat_vec(a, v + (1,))
+    assert empty_rows >= 100 and empty_cols >= 100, (empty_rows, empty_cols)

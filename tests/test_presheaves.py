@@ -14,7 +14,7 @@ from gluekit import rings as rg
 from gluekit import ringedglue as rgl
 from gluekit import sheafglue as sg
 from gluekit.errors import ValidationError
-from test_abgroups import scale_hom
+from test_abgroups import product, scale_hom
 from test_fintop import sierpinski
 
 S = sierpinski()
@@ -224,7 +224,7 @@ def test_sheaf_sum_decomposition_on_disjoint_opens():
     f = ps.locally_constant_sheaf(disc, disc.full(), Z)
     assert ps.is_sheaf(f)[0]
     u, v = frozenset({0}), frozenset({1, 2})
-    prod, projs, _ = ab.product([f.group(u), f.group(v)])
+    prod, projs, _ = product([f.group(u), f.group(v)])
     rows = list(f.res(u | v, u).matrix) + list(f.res(u | v, v).matrix)
     canonical = ab.AbHom(f.group(u | v), prod, tuple(rows))
     assert ab.is_iso(canonical)
@@ -533,7 +533,7 @@ def test_presheaf_law_checker_matches_ring_oracle():
             expected = reference_ring_law_failures(space, ringed.sections, restr)
             got = ps.presheaf_law_failures(
                 opens, ringed.sections, restr,
-                rg.is_ring_hom, rg.compose_ring_hom, operator.eq, rg.identity_ring_hom,
+                rg.is_ring_hom, rg.compose_ring_hom, operator.eq, rg.identity_ring_hom, space.lower_covers,
             )
             assert got == [in_checker_words(p) for p in expected], kind
             assert bool(got) == (kind != "valid"), kind
@@ -754,7 +754,10 @@ def test_naturality_checker_matches_oracle_on_ringed_transports(monkeypatch):
                 changed = changed_component(rng, g.transports[(i, j)], ring_changes)
                 if changed is None:
                     break
-                g.transports[(i, j)] = changed
+                # a new functor, since a functor builds its images once
+                g = rgl.RingedGluingFunctor(
+                    g.variant, g.charts, g.overlaps, g.trans_top, {**g.transports, (i, j): changed}
+                )
             expected = reference_transport_squares(g, i, j)
             assert ps.naturality_failures(
                 opens, partial(g.top_image, i, j), g.transports[(i, j)].__getitem__,
@@ -798,3 +801,32 @@ def test_naturality_checker_matches_oracle_on_glued_ringed_legs(monkeypatch):
             assert corrupt or not expected
             failing += bool(expected)
     assert failing >= 100, failing
+
+
+def test_component_that_is_not_a_homomorphism_is_refused():
+    """On the chain {0} < {0,1} < {0,1,2}, r_uw = 3 and r_cw ∘ r_uc = 1 agree
+    into Z/2, but a component Z/2 -> Z/4 sending 1 to 1 tells them apart:
+    both covering squares commute and the square of w below u fails.  The
+    naturality check on covering pairs needs homomorphisms, so the
+    component is refused before the squares."""
+    chain = ft.FinSpace(3, (frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2})))
+    w, c, u = chain.sorted_opens[1:]
+    assert chain.lower_covers[u] == (c,) and chain.lower_covers[c] == (w,)
+
+    def presheaf(torsion, r_uw):
+        top, low = ab.free_group(1), ab.group_from_invariants(0, (torsion,))
+        sections = {frozenset(): ab.free_group(0), w: low, c: top, u: top}
+        maps = {(u, c): ((1,),), (c, w): ((1,),), (u, w): ((r_uw,),)}
+        restrictions = {
+            (a, b): ab.make_hom(sections[a], sections[b], maps.get((a, b), ((1,),) if a == b else ()))
+            for a in chain.sorted_opens for b in chain.sorted_opens if b <= a
+        }
+        return ps.make_presheaf(chain, chain.full(), sections, restrictions)
+
+    f, g = presheaf(2, 3), presheaf(4, 1)
+    alpha = {o: ab.id_hom(f.group(o)) for o in f.opens()}
+    alpha[w] = ab.AbHom(f.group(w), g.group(w), ((1,),))
+    m = ps.EnrichedMorphism(f, g, alpha)
+    assert not ab.is_well_defined(alpha[w])
+    assert reference_enriched_squares(m) == [(u, w)]
+    assert ps.check_enriched_morphism(m) == (False, [{"open": [0], "error": "not a homomorphism"}])

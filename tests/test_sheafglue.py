@@ -496,3 +496,23 @@ def test_law_failure_of_the_limit_presheaf_is_a_falsification(capsys, monkeypatc
     path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "two_origins_sheaf.json")
     assert cli.main(["verify", path]) == 3
     assert "forced law failure" in capsys.readouterr().err
+
+
+def test_limit_refuses_a_covering_restriction_that_breaks_compatibility():
+    """Data that sheaf_functor_from_data refuses, built into a limit anyway:
+    the transition swaps the two points' sections over the whole discrete
+    space and is the identity on each point, so it is not natural, and the
+    compatible families over the space do not restrict to compatible ones
+    over a point, its lower cover."""
+    base = ft.discrete_space(2)
+    full = base.full()
+    f = ps.locally_constant_sheaf(base, full, Z)
+    swap = {o: ab.id_hom(f.group(o)) for o in f.opens()}
+    swap[full] = ab.AbHom(f.group(full), f.group(full), ((0, 1), (1, 0)))
+    t = ps.EnrichedMorphism(f, f, swap)
+    data = sg.SheafGluingData(base, (full, full), (f, f), {(0, 1): t, (1, 0): t})
+    with pytest.raises(ValidationError, match=r"transition \(0,1\): \{'square': \(\[0, 1\], \[0\]\)\}"):
+        sg.sheaf_functor_from_data(data)
+    assert frozenset({0}) in base.lower_covers[full]
+    with pytest.raises(FalsificationError, match="does not preserve compatibility"):
+        sg.build_limit_sheaf(data)
