@@ -6,8 +6,9 @@ writes the constructed artifacts, ``index --n K`` prints a census of the
 gluing index category (optionally as DOT), and ``report`` re-emits a saved
 artifact file as JSON or DOT.
 
-Exit codes: 0 verified, 1 verification failed, 2 invalid input or
-unsupported variant, 3 internal falsification (an executed theorem
+Exit codes: 0 verified, 1 the gluing data is not a valid gluing functor, 2
+invalid input or unsupported variant, 3 internal falsification (the
+construction failed its own verification or an executed theorem
 conclusion failed; must never happen on valid input).
 """
 
@@ -103,10 +104,7 @@ def _sheaf_verify(functor, lim) -> dict:
     sheaf_ok, cert = ps.is_sheaf(lim.carrier)
     if not sheaf_ok:
         raise FalsificationError(f"limit of sheaves is not a sheaf: {cert}")
-    report = sg.verify_sheaf_glued(lim.carrier, lim.legs, functor, lim)
-    if not report["verdict"]:
-        raise FalsificationError(f"limit sheaf failed its own verification: {report}")
-    return {"limit_is_sheaf": True, **report}
+    return {"limit_is_sheaf": True, **sg.verify_sheaf_glued(lim.carrier, lim.legs, functor, lim)}
 
 
 def _sheaf_artifacts(functor, lim) -> dict:
@@ -119,21 +117,11 @@ def _sheaf_artifacts(functor, lim) -> dict:
 
 
 def _ringed_glue(g):
-    """glue_ringed validates the data itself; when it refuses, validating
-    again tells invalid data from a size refusal on valid data."""
-    try:
-        return g, rgl.glue_ringed(g)
-    except ValidationError:
-        if rgl.validate_ringed_functor(g)["ok"]:
-            raise
-        return None
+    return (g, rgl.glue_ringed(g)) if rgl.validate_ringed_functor(g)["ok"] else None
 
 
 def _ringed_verify(g, glued) -> dict:
-    report = rgl.verify_ringed_glued(glued.space, glued.legs, g, glued)
-    if not report["verdict"]:
-        raise FalsificationError(f"glued ringed space failed its own verification: {report}")
-    return report
+    return rgl.verify_ringed_glued(glued.space, glued.legs, g, glued)
 
 
 def _ringed_artifacts(g, glued) -> dict:
@@ -147,9 +135,10 @@ def _ringed_artifacts(g, glued) -> dict:
 
 
 # The pipeline of each kind, as plain functions:
-#   glue(data) checks the data and builds the limit: (functor, limit), or
-#     None when the data is invalid;
-#   verify(functor, limit) gives the conditions, with a "verdict" among them;
+#   glue(data) validates the functor and builds its limit: (functor, limit),
+#     or None when the data is invalid;
+#   verify(functor, limit) checks the limit's cone: the conditions, with a
+#     "verdict" that is a theorem on valid data, so false is a falsification;
 #   sample(functor, limit, rng, samples) checks sampled cones (top only);
 #   artifacts(functor, limit) gives the artifacts dict.
 _PIPELINES = {
@@ -166,16 +155,17 @@ def run_pipeline(payload: dict, seed: int, samples: int = DEFAULT_SAMPLES) -> tu
     glue, verify, sample, artifacts_of = _PIPELINES[payload["kind"]]
     glued = glue(payload["data"])
     conditions = {"data_valid": glued is not None}
-    verdict, artifacts = False, {}
+    artifacts = {}
     if glued is not None:
         functor, limit = glued
         conditions.update(verify(functor, limit))
-        verdict = conditions.pop("verdict")
+        if not conditions.pop("verdict"):
+            raise FalsificationError(f"the {payload['kind']} limit failed its own verification: {conditions}")
         if sample is not None:
             sample(functor, limit, random.Random(seed), samples)
             conditions["universal_sampled"] = True
         artifacts = artifacts_of(functor, limit)
-    report = {"conditions": conditions, "verdict": verdict, "kind": payload["kind"],
+    report = {"conditions": conditions, "verdict": glued is not None, "kind": payload["kind"],
               "variant": payload.get("variant"), "seed": seed}
     artifacts["timings"] = {"total_seconds": time.perf_counter() - t0}
     return report, artifacts
@@ -200,26 +190,8 @@ def _load(path: str) -> dict:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _prepare(path: str, variant: str | None) -> dict:
-    """Load and parse a document, apply the variant override, refuse the
-    scheme variant and a variant that does not belong to the kind."""
-    payload = jsonio.parse_document(_load(path))
-    kind = payload["kind"]
-    if variant is not None:
-        payload["variant"] = variant
-    if payload["variant"] == "sch":
-        raise UnsupportedFeature("scheme verification unsupported")
-    if payload["variant"] not in jsonio.VARIANTS[kind]:
-        raise ValidationError(f"/variant: variant {payload['variant']!r} does not apply to {kind} documents")
-    if kind == "top":
-        payload["data"].open_variant = payload["variant"] == "otop"
-    elif kind == "ringed":
-        payload["data"].variant = payload["variant"]
-    return payload
-
-
 def _verify_one(path: str, args, out: str | None) -> int:
-    report, artifacts = run_pipeline(_prepare(path, args.variant), _seed(args), args.samples)
+    report, artifacts = run_pipeline(jsonio.parse_document(_load(path), args.variant), _seed(args), args.samples)
     sys.stdout.write(emit_report(report, out))
     sys.stderr.write(f"timings: {json.dumps(artifacts['timings'], sort_keys=True)}\n")
     return EXIT_OK if report["verdict"] else EXIT_VERIFY_FAILED
@@ -250,7 +222,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    report, artifacts = run_pipeline(_prepare(args.file, args.variant), _seed(args), args.samples)
+    report, artifacts = run_pipeline(jsonio.parse_document(_load(args.file), args.variant), _seed(args), args.samples)
     os.makedirs(args.out, exist_ok=True)
     emit_report(report, os.path.join(args.out, "report.json"))
     timings = artifacts.pop("timings")

@@ -184,6 +184,11 @@ class GluingIndexCategory:
     def morphism_count(self) -> int:
         return len(self.paths)
 
+    @property
+    def triples(self) -> tuple[IdxObj, ...]:
+        """The triple objects, which ``objects`` lists last."""
+        return self.objects[self.n * self.n:]
+
 
 @lru_cache(maxsize=DEFAULT_MAX_INDEX)
 def index_category(n: int) -> GluingIndexCategory:
@@ -256,10 +261,10 @@ def _relation_instances(n: int):
         )
         # tau3 is an involution across the first two slots
         yield ("triple_inverse", (i, j, k), [TauT(i, j, k), TauT(j, i, k)], "id", triple(i, j, k))
-    for i in range(n):
-        for j, k in combinations((x for x in range(n) if x != i), 2):
-            # both routes from the single into the triple agree
-            yield ("square_routes", (i, j, k), [EtaT(i, j, k), Eta(i, j)], [EtaT(i, k, j), Eta(i, k)], None)
+    for t in index_category(n).triples:
+        i, (j, k) = t.apex, t.rest
+        # both routes from the single into the triple agree
+        yield ("square_routes", (i, j, k), [EtaT(i, j, k), Eta(i, j)], [EtaT(i, k, j), Eta(i, k)], None)
     for i, j, k in permutations(range(n), 3):
         # mixing tau with the triple inclusions
         yield ("mixed_swap", (i, j, k), [TauT(i, j, k), EtaT(j, i, k)], [EtaT(i, j, k), Tau(i, j)], None)

@@ -17,8 +17,9 @@ from . import rings as rg
 from . import ringedglue as rgl
 from . import sheafglue as sg
 from . import topglue as tg
-from .errors import ValidationError
+from .errors import UnsupportedFeature, ValidationError
 from .fintop import FinSpace
+from .indexcat import pair
 
 KINDS = ("top", "sheaf", "ringed")
 VARIANTS = {"top": ("top", "otop"), "sheaf": (None,), "ringed": ("rts", "lrts", "sch")}
@@ -54,30 +55,39 @@ def _space(doc, pointer) -> FinSpace:
         _fail(pointer, f"bad space: {exc}")
 
 
-def parse_document(doc: dict) -> dict:
+def parse_document(doc: dict, variant: str | None = None) -> dict:
     """Schema-check a document and return a normalized payload dict with a
-    'kind' key and constructed in-memory objects."""
+    'kind' key and constructed in-memory objects.  ``variant`` (--variant)
+    replaces the document's own variant; the data is built with the result,
+    which is then refused if it is ``sch`` or does not belong to the kind."""
     if not isinstance(doc, dict):
         _fail("/", "document must be a JSON object")
     kind = _require(doc, "kind", "/")
     if kind not in KINDS:
         _fail("/kind", f"unknown kind {kind!r}")
-    variant = doc.get("variant")
-    if variant not in VARIANTS[kind]:
-        _fail("/variant", f"variant {variant!r} does not apply to {kind} documents")
+    own = doc.get("variant")
+    if own not in VARIANTS[kind]:
+        _fail("/variant", f"variant {own!r} does not apply to {kind} documents")
+    variant = own if variant is None else variant
     members = "cover" if kind == "sheaf" else "charts"
     if members in doc and not doc[members]:
         _fail(f"/{members}", "the index set must be non-empty")
-    parse = {"top": _parse_top, "sheaf": _parse_sheaf, "ringed": _parse_ringed}[kind]
     try:
-        data = parse(doc)
+        if kind == "sheaf":
+            data = _parse_sheaf(doc)
+        else:
+            data = (_parse_top if kind == "top" else _parse_ringed)(doc, variant)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         # a value of the wrong JSON type somewhere below the top level
         _fail("/", f"malformed {kind} document: {type(exc).__name__}: {exc}")
+    if variant == "sch":
+        raise UnsupportedFeature("scheme verification unsupported")
+    if variant not in VARIANTS[kind]:
+        _fail("/variant", f"variant {variant!r} does not apply to {kind} documents")
     return {"kind": kind, "variant": variant, "data": data}
 
 
-def _parse_top(doc) -> tg.TopGluingData:
+def _parse_top(doc, variant: str) -> tg.TopGluingData:
     spaces = {}
     for sid, sdoc in _require(doc, "spaces", "/").items():
         spaces[sid] = _space(sdoc, f"/spaces/{sid}")
@@ -151,8 +161,7 @@ def _parse_top(doc) -> tg.TopGluingData:
             f"/triple_transitions/{key}",
         )
     return tg.TopGluingData(
-        charts, overlaps, transitions, triple_spaces, triple_projs, triple_transitions,
-        open_variant=(doc.get("variant") == "otop"),
+        charts, overlaps, transitions, triple_spaces, triple_projs, triple_transitions, variant == "otop"
     )
 
 
@@ -233,16 +242,15 @@ def _parse_sheaf(doc) -> sg.SheafGluingData:
             _fail(f"/sheaves/{i}", "more sheaves than cover members")
     if len(sheaves) != len(cover):
         _fail("/sheaves", "one sheaf per cover member required")
-    transitions = {}
+    # the transitions run between the datum's own restricted charts
+    data = sg.SheafGluingData(base, tuple(cover), tuple(sheaves), {})
     tr_doc = _require(doc, "transitions", "/")
-    for i, j in permutations(range(len(cover)), 2):
+    for i, j in permutations(range(data.n), 2):
         key = f"{i},{j}"
         comp_doc = tr_doc.get(key)
         if comp_doc is None:
             _fail(f"/transitions/{key}", "missing transition")
-        overlap = cover[i] & cover[j]
-        dom = ps.restrict_presheaf(sheaves[i], overlap)
-        cod = ps.restrict_presheaf(sheaves[j], overlap)
+        dom, cod = data.obj(pair(i, j)), data.obj(pair(j, i))
         comps = {}
         for okey, mat in comp_doc.items():
             o = parse_open_key(okey, f"/transitions/{key}/{okey}")
@@ -253,8 +261,8 @@ def _parse_sheaf(doc) -> sg.SheafGluingData:
         missing = [o for o in dom.opens() if o not in comps]
         if missing:
             _fail(f"/transitions/{key}", f"missing component at {sorted(missing[0])}")
-        transitions[(i, j)] = ps.EnrichedMorphism(dom, cod, comps)
-    return sg.SheafGluingData(base, tuple(cover), tuple(sheaves), transitions)
+        data.transitions[(i, j)] = ps.EnrichedMorphism(dom, cod, comps)
+    return data
 
 
 def sheaf_data_to_document(data: sg.SheafGluingData) -> dict:
@@ -279,7 +287,7 @@ def sheaf_data_to_document(data: sg.SheafGluingData) -> dict:
     return doc
 
 
-def _parse_ringed(doc) -> rgl.RingedGluingFunctor:
+def _parse_ringed(doc, variant: str) -> rgl.RingedGluingFunctor:
     rings = {}
     for rid, rdoc in _require(doc, "rings", "/").items():
         try:
@@ -343,7 +351,6 @@ def _parse_ringed(doc) -> rgl.RingedGluingFunctor:
             except (ValidationError, KeyError) as exc:
                 _fail(f"/transitions/{key}/sections/{okey}", str(exc))
         transports[(i, j)] = comp
-    variant = doc.get("variant", "rts")
     return rgl.RingedGluingFunctor(variant, tuple(charts), overlaps, trans_top, transports)
 
 

@@ -18,28 +18,30 @@ category's generator relations on those images; forgetting the sheaf
 parts gives the topological gluing functor.  The glued object pairs the
 topological standard representative with the compatible-family structure
 sheaf; its legs into the charts are ringed-space morphisms, and the cone
-check composes them with the generator images.  The executed stalk laws
-are falsification checks, not input validation.  Both the gluing axiom and
-the glued sections enumerate compatible families with one join
-(``compatible_families``), whose work follows the families kept.
+check composes them with the generator images.  The variant is rts or lrts
+(documents that ask for schemes are refused by the parser), and each
+functor is validated once.  The executed stalk laws are falsification
+checks, not input validation.  Both the gluing axiom and the glued sections
+enumerate compatible families with one join (``compatible_families``),
+whose work follows the families kept.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations, permutations
 
 from . import fintop as ft
 from . import rings as rg
 from . import topglue as tg
-from .errors import FalsificationError, UnsupportedFeature, ValidationError
+from .errors import FalsificationError, ValidationError
 from .fintop import ContinuousMap, FinSpace, Open, minimal_cover, minimal_open
 from .indexcat import Eta, EtaT, Generator, IdxObj, Tau, check_generator_relations, index_category, single
 from .presheaves import naturality_failures, opens_below, presheaf_law_failures
 
-VARIANTS = ("rts", "lrts", "sch")
+VARIANTS = ("rts", "lrts")
 
 _SECTION_PRODUCT_CAP = 200_000
 
@@ -275,8 +277,8 @@ class RingedGluingFunctor:
     its points to points of the mirror overlap in chart j; and
     ``transports[(i, j)][W]`` carries sections of chart i over any open W
     below the overlap to sections of chart j over the image open.  The
-    images of objects and generators are built once per functor, on first
-    use, so the chart data is not changed afterwards.
+    images of objects and generators, and the validation, are built once per
+    functor, on first use, so the chart data is not changed afterwards.
     """
 
     variant: str
@@ -292,6 +294,11 @@ class RingedGluingFunctor:
     @property
     def n(self) -> int:
         return len(self.charts)
+
+    @cached_property
+    def validation(self) -> tuple[dict, tg.TopGluingFunctor | None]:
+        """The validation report, and the induced topological functor if valid."""
+        return _validate(self)
 
     def top_image(self, i: int, j: int, w) -> Open:
         t = self.trans_top[(i, j)]
@@ -337,23 +344,16 @@ class RingedGluingFunctor:
         return self._images[g]
 
 
-def _check_sch(g: RingedGluingFunctor):
-    if g.variant == "sch":
-        raise UnsupportedFeature("scheme verification unsupported")
-
-
 def validate_ringed_functor(g: RingedGluingFunctor) -> dict:
     """Report-style validation of the chart data: overlap/transition shape,
     transport typing and naturality, the generator relations (among them
     ``inverse_pair``, each transport inverse to its mirror, and
     ``triple_composition``, the cocycle law), and the locality
     requirements of the lrts variant."""
-    return _validate(g)[0]
+    return g.validation[0]
 
 
 def _validate(g: RingedGluingFunctor) -> tuple[dict, tg.TopGluingFunctor | None]:
-    """The validation report, and the induced topological functor once the
-    data is valid."""
     report = {"shape": [], "transports": [], "relations": [], "locality": [], "ok": False}
     if g.variant not in VARIANTS:
         report["shape"].append(f"unknown variant {g.variant!r}")
@@ -368,9 +368,7 @@ def _validate(g: RingedGluingFunctor) -> tuple[dict, tg.TopGluingFunctor | None]
         mirror = g.overlaps.get((j, i), frozenset())
         if t is None or set(t) != set(ov) or set(t.values()) != set(mirror):
             report["shape"].append(f"transition ({i},{j}) is not a bijection onto its mirror")
-            continue
-        back = g.trans_top.get((j, i), {})
-        if any(back.get(t[p]) != p for p in ov):
+        elif any(g.trans_top.get((j, i), {}).get(t[p]) != p for p in ov):
             report["shape"].append(f"transitions ({i},{j}) and ({j},{i}) are not inverse")
     if report["shape"]:
         return report, None
@@ -487,8 +485,7 @@ def glue_ringed(g: RingedGluingFunctor) -> GluedRinged:
     lrts variant) raises FalsificationError when it fails on validated
     input.
     """
-    _check_sch(g)
-    report, top_functor = _validate(g)
+    report, top_functor = g.validation
     if not report["ok"]:
         raise ValidationError(f"invalid ringed gluing data: {report}")
     rep = tg.standard_representative(top_functor)
@@ -571,7 +568,6 @@ def verify_ringed_glued(
     variant additionally requires local stalks and local stalk maps on the
     candidate side.
     """
-    _check_sch(g)
     report = {
         "top_cone": False,
         "top_comparison": False,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations, product as iproduct
+from itertools import permutations, product as iproduct
 from operator import countOf, itemgetter
 
 from . import fintop as ft
@@ -53,7 +53,7 @@ class TopGluingData:
     triple_spaces: dict[TripleKey, FinSpace]
     triple_projs: dict[tuple[int, int, int], ContinuousMap]
     triple_transitions: dict[tuple[int, int, int], ContinuousMap]
-    open_variant: bool = True
+    open_variant: bool
 
     @property
     def n(self) -> int:
@@ -108,12 +108,6 @@ class TopCone:
     legs: dict[IdxObj, ContinuousMap]
 
 
-def _triple_keys(n: int):
-    for i in range(n):
-        for j, k in combinations((x for x in range(n) if x != i), 2):
-            yield (i, frozenset({j, k}))
-
-
 def functor_from_data(data: TopGluingData) -> TopGluingFunctor:
     n = data.n
     objects: dict[IdxObj, FinSpace] = {}
@@ -128,12 +122,12 @@ def functor_from_data(data: TopGluingData) -> TopGluingFunctor:
         objects[pair(i, j)] = data.overlaps[(i, j)].dom
         arrows[Eta(i, j)] = data.overlaps[(i, j)]
         arrows[Tau(i, j)] = data.transitions[(i, j)]
-    for key in _triple_keys(n):
-        i, rest = key
-        j, k = sorted(rest)
+    for t in index_category(n).triples:
+        i, (j, k) = t.apex, t.rest
+        key = (i, frozenset(t.rest))
         if key not in data.triple_spaces:
             raise ValidationError(f"missing triple space {key}")
-        objects[triple(i, j, k)] = data.triple_spaces[key]
+        objects[t] = data.triple_spaces[key]
         for via, other in ((j, k), (k, j)):
             proj = data.triple_projs.get((i, via, other))
             if proj is None:
@@ -156,7 +150,7 @@ def data_from_functor(g: TopGluingFunctor) -> TopGluingData:
     spaces = tuple(g.objects[single(i)] for i in range(n))
     overlaps = {(i, j): g.arrows[Eta(i, j)] for i, j in permutations(range(n), 2)}
     transitions = {(i, j): g.arrows[Tau(i, j)] for i, j in permutations(range(n), 2)}
-    triple_spaces = {key: g.objects[triple(key[0], *sorted(key[1]))] for key in _triple_keys(n)}
+    triple_spaces = {(t.apex, frozenset(t.rest)): g.objects[t] for t in index_category(n).triples}
     triple_projs = {}
     triple_transitions = {}
     for i, j, k in permutations(range(n), 3):
@@ -187,9 +181,8 @@ def validate_functor(g: TopGluingFunctor) -> dict:
             eq=lambda x, y: x == y,
             identity=lambda obj: ft.identity_map(g.objects[obj]),
         )
-        for key in _triple_keys(g.n):
-            i, rest = key
-            j, k = sorted(rest)
+        for t in index_category(g.n).triples:
+            i, (j, k) = t.apex, t.rest
             try:
                 ok = ft.is_pullback_square(
                     g.arrows[EtaT(i, j, k)],
@@ -339,10 +332,8 @@ def verify_glued(q: FinSpace, iota: dict[IdxObj, ContinuousMap], g: TopGluingFun
             overlap_ok = False
     cond["overlap_law"] = overlap_ok
     triple_ok = True
-    for key in _triple_keys(g.n):
-        i, rest = key
-        j, k = sorted(rest)
-        t = triple(i, j, k)
+    for t in index_category(g.n).triples:
+        i, (j, k) = t.apex, t.rest
         img = iota[t].image_of(range(g.objects[t].n))
         if img != images[i] & images[j] & images[k]:
             triple_ok = False
@@ -442,10 +433,8 @@ def cover_functor(space: FinSpace, cover) -> tuple[TopGluingFunctor, dict[IdxObj
         register(single(i), cover[i])
     for i, j in permutations(range(n), 2):
         register(pair(i, j), cover[i] & cover[j])
-    for key in _triple_keys(n):
-        i, rest = key
-        j, k = sorted(rest)
-        register(triple(i, j, k), cover[i] & cover[j] & cover[k])
+    for t in index_category(n).triples:
+        register(t, cover[t.apex] & cover[t.rest[0]] & cover[t.rest[1]])
 
     def between(src: IdxObj, dst: IdxObj) -> ContinuousMap:
         src_pts = sorted(locs[src])

@@ -1,7 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
+import sys
 import tempfile
 import time
 import traceback
@@ -14,6 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from gluekit import cli
 from gluekit import fintop as ft
 from gluekit import jsonio
+from gluekit import ringedglue as rgl
+from gluekit import sheafglue as sg
 from gluekit import topglue as tg
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -122,14 +127,36 @@ def test_sch_variant_rejected(capsys, tmp_path):
     code, out, err = run_main(capsys, "verify", str(path))
     assert code == 2
     assert "scheme verification unsupported" in err
+    # the flag replaces the declared variant before the data is built
+    code, out, err = run_main(capsys, "verify", str(path), "--variant", "rts")
+    assert code == 0, err
+    assert json.loads(out)["variant"] == "rts"
 
 
 def test_sch_variant_flag_rejects_any_document(capsys):
-    code, out, err = run_main(
-        capsys, "verify", "--variant", "sch", fixture("two_origins.json")
-    )
-    assert code == 2
-    assert "scheme verification unsupported" in err
+    for name in ("two_origins.json", "two_origins_sheaf.json", "two_origins_ringed.json"):
+        code, out, err = run_main(capsys, "verify", "--variant", "sch", fixture(name))
+        assert code == 2, name
+        assert "scheme verification unsupported" in err
+
+
+# (fixture, module, verifier): the verifier each kind runs on its limit
+VERIFIERS = [
+    ("two_origins.json", tg, "verify_glued"),
+    ("two_origins_sheaf.json", sg, "verify_sheaf_glued"),
+    ("two_origins_ringed.json", rgl, "verify_ringed_glued"),
+]
+
+
+@pytest.mark.parametrize("name, module, verifier", VERIFIERS, ids=[v[2] for v in VERIFIERS])
+def test_false_verdict_on_valid_data_is_a_falsification(capsys, monkeypatch, name, module, verifier):
+    """Every kind's limit must pass its own verification: a false verdict
+    on valid data exits 3."""
+    real = getattr(module, verifier)
+    monkeypatch.setattr(module, verifier, lambda *args: {**real(*args), "verdict": False})
+    code, out, err = run_main(capsys, "verify", fixture(name), "--samples", "3")
+    assert code == 3, err
+    assert err.startswith("FALSIFICATION: ") and out == ""
 
 
 @pytest.mark.parametrize("name, variant, expected", [
@@ -384,16 +411,14 @@ def _node_paths(node, path=()):
         yield from _node_paths(child, path + (key,))
 
 
-@st.composite
-def mutated_fixtures(draw):
-    """A fixture with one node mutated: the node deleted, replaced by a
-    value of another JSON type, a number moved by at most 3, a string
-    renamed, a list truncated, or a point toggled in an open.  Numbers move
-    only a little because a point count or group rank is the size of the
-    structure the parser builds."""
-    name = draw(st.sampled_from(FIXTURE_NAMES))
-    doc = load_fixture(name)
-    *head, key = draw(st.sampled_from(list(_node_paths(doc))[1:]))
+def mutate_one_node(doc, pick):
+    """Mutate one node of ``doc`` in place and return (path, kind): the node
+    deleted, replaced by a value of another JSON type, a number moved by at
+    most 3, a string renamed, a list truncated, or a point toggled in an
+    open.  ``pick(options)`` chooses one of a non-empty sequence.  Numbers
+    move only a little because a point count or group rank is the size of
+    the structure the parser builds."""
+    *head, key = pick(list(_node_paths(doc))[1:])
     parent = reduce(getitem, head, doc)
     node = parent[key]
     kinds = ["delete", "retype"]
@@ -405,20 +430,29 @@ def mutated_fixtures(draw):
         kinds.append("truncate")
     if "opens" in head and isinstance(node, list) and all(isinstance(p, int) for p in node):
         kinds.append("toggle_point")
-    kind = draw(st.sampled_from(kinds))
+    kind = pick(kinds)
     if kind == "delete":
         del parent[key]
     elif kind == "retype":
-        parent[key] = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(node)]))
+        parent[key] = pick([v for v in OTHER_TYPES if type(v) is not type(node)])
     elif kind == "number":
-        parent[key] = node + draw(st.integers(-3, 3).filter(bool))
+        parent[key] = node + pick((-3, -2, -1, 1, 2, 3))
     elif kind == "string":
-        parent[key] = draw(st.sampled_from(["", node + "x", "s0", "r1", "0,1", "lrts"]).filter(lambda v: v != node))
+        parent[key] = pick([v for v in ("", node + "x", "s0", "r1", "0,1", "lrts") if v != node])
     elif kind == "truncate":
-        parent[key] = node[: draw(st.integers(0, len(node) - 1))]
+        parent[key] = node[: pick(range(len(node)))]
     else:
-        parent[key] = sorted(set(node) ^ {draw(st.integers(0, 3))})
-    return name, head + [key], kind, doc
+        parent[key] = sorted(set(node) ^ {pick(range(4))})
+    return head + [key], kind
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture with one node mutated by ``mutate_one_node``."""
+    name = draw(st.sampled_from(FIXTURE_NAMES))
+    doc = load_fixture(name)
+    path, kind = mutate_one_node(doc, lambda options: draw(st.sampled_from(options)))
+    return name, path, kind, doc
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None,
@@ -446,3 +480,69 @@ def test_mutated_fixture_keeps_the_exit_code_contract(case):
     assert code in (0, 1, 2), f"{where}: exit {code}\n{trace}{err.getvalue()}"
     assert "Traceback" not in err.getvalue(), where
     assert elapsed < FUZZ_SECONDS, f"{where}: {elapsed:.1f} s"
+
+
+# The CLI golden: exit code, stdout and stderr (without the timings line) of
+# `glue verify` on each fixture under each --variant and on seeded one-node
+# mutations of the fixtures, byte for byte.  After an intended change of the
+# CLI's output, rewrite the golden file with
+#
+#     PYTHONPATH=src python3 tests/test_cli.py
+GOLDEN_CLI = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
+GOLDEN_VARIANTS = (None, "top", "otop", "rts", "lrts", "sch")
+GOLDEN_MUTATIONS = 300
+
+
+def golden_cases():
+    """(name, document, extra arguments): each fixture under each
+    --variant (None for the document's own), then GOLDEN_MUTATIONS one-node
+    mutations, mutation k drawn from its own seeded stream."""
+    cases = []
+    for name in FIXTURE_NAMES:
+        for variant in GOLDEN_VARIANTS:
+            args = () if variant is None else ("--variant", variant)
+            cases.append((f"{name[:-5]} --variant {variant}", load_fixture(name), args))
+    for k in range(GOLDEN_MUTATIONS):
+        rng = random.Random(f"cli-golden/{k}")
+        name = rng.choice(FIXTURE_NAMES)
+        doc = load_fixture(name)
+        path, kind = mutate_one_node(doc, rng.choice)
+        cases.append((f"mutation-{k:03d} {name[:-5]} {kind} at /{'/'.join(map(str, path))}", doc, ()))
+    return cases
+
+
+def cli_outputs(doc, args) -> dict:
+    """sha256 of the document, and the exit code, stdout and stderr of
+    `glue verify --samples 3 --seed 7` on it."""
+    text = json.dumps(doc, sort_keys=True)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", path, "--samples", "3", "--seed", "7", *args])
+    lines = err.getvalue().splitlines(keepends=True)
+    return {
+        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "exit": code,
+        "stdout": out.getvalue(),
+        "stderr": "".join(line for line in lines if not line.startswith("timings: ")),
+    }
+
+
+def test_cli_outputs_match_the_golden_file():
+    with open(GOLDEN_CLI, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    got = {name: cli_outputs(doc, args) for name, doc, args in golden_cases()}
+    assert sorted(got) == sorted(golden)
+    changed = [name for name in got if got[name] != golden[name]]
+    assert not changed, f"{len(changed)} outputs changed, first {changed[0]}: {got[changed[0]]}"
+
+
+if __name__ == "__main__":
+    golden = {name: cli_outputs(doc, args) for name, doc, args in golden_cases()}
+    with open(GOLDEN_CLI, "w", encoding="utf-8") as fh:
+        json.dump(golden, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    print(f"wrote {len(golden)} entries to {GOLDEN_CLI}", file=sys.stderr)

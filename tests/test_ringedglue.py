@@ -16,7 +16,7 @@ from gluekit import rings as rg
 from gluekit import ringedglue as rgl
 from gluekit import sheafglue as sg
 from gluekit import topglue as tg
-from gluekit.errors import FalsificationError, UnsupportedFeature, ValidationError
+from gluekit.errors import FalsificationError, ValidationError
 from gluekit.indexcat import single
 from test_abgroups import same_element
 from test_fintop import indiscrete_space, sierpinski
@@ -454,11 +454,31 @@ def test_refusal_of_valid_ringed_data_is_input_error(tmp_path, capsys, monkeypat
 
 
 def test_sch_variant_unsupported():
+    """The document parser refuses the scheme variant; to the library it is
+    an unknown variant."""
     g = two_origins_ringed(variant="sch")
-    with pytest.raises(UnsupportedFeature, match="unsupported"):
+    report = rgl.validate_ringed_functor(g)
+    assert not report["ok"] and report["shape"] == ["unknown variant 'sch'"]
+    with pytest.raises(ValidationError, match="unknown variant 'sch'"):
         rgl.glue_ringed(g)
-    with pytest.raises(UnsupportedFeature):
-        rgl.verify_ringed_glued(None, {}, g, None)
+
+
+def test_ringed_data_is_validated_once_per_run(tmp_path, capsys, monkeypatch):
+    """Valid or not, a ringed document's functor is validated once, however
+    often the pipeline reads the report."""
+    calls = []
+    real = rgl._validate
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(rgl, "_validate", counting)
+    for g, expected in ((two_origins_ringed(), 0), (two_origins_ringed(rg.zmod(6), "lrts"), 1)):
+        calls.clear()
+        code, captured = verify_ringed_document(tmp_path, capsys, g)
+        assert code == expected, captured.err
+        assert len(calls) == 1
 
 
 def test_induced_functors_valid():
@@ -752,6 +772,42 @@ def test_broken_transition_law_is_named_and_refused(tmp_path, capsys, twists, re
     report = json.loads(captured.out)
     assert report["conditions"] == {"data_valid": False} and report["verdict"] is False
     assert rgl.validate_ringed_functor(twisted_point_charts(set()))["ok"]
+
+
+def test_transitions_that_are_not_inverse_on_points_are_refused(tmp_path, capsys):
+    """Two charts, each the two-point discrete space with Z/2 over point 0
+    and (Z/2)² over point 1: the transition (0, 1) fixes the points and
+    (1, 0) swaps them, each a bijection onto its mirror, and the transports
+    are typed and natural (the diagonal Z/2 -> (Z/2)² and a projection back).
+    The composite of Tau(0, 1) and Tau(1, 0) would join sections over
+    different rings, so the shape check must refuse the pair before the
+    generator relations run."""
+    a, b = frozenset({0}), frozenset({1})
+    chart = coordinate_ringed(ft.discrete_space(2), {frozenset(): [], a: [0], b: [1, 2], a | b: [0, 1, 2]})
+
+    def coordinate_hom(dom, cod, f):
+        (ring_d, proj_d), (ring_c, proj_c) = (rg.product_ring([rg.zmod(2)] * k) for k in (dom, cod))
+        index = {tuple(p[e] for p in proj_c): e for e in ring_c.elements()}
+        return rg.RingHom(ring_d, ring_c, tuple(index[f(tuple(p[e] for p in proj_d))] for e in ring_d.elements()))
+
+    identity = {w: rg.identity_ring_hom(chart.ring(w)) for w in chart.top.sorted_opens}
+    swapped = {
+        frozenset(): identity[frozenset()],
+        a: coordinate_hom(1, 2, lambda x: (x[0], x[0])),
+        b: coordinate_hom(2, 1, lambda x: x[:1]),
+        a | b: coordinate_hom(3, 3, lambda x: (x[1], x[0], x[0])),
+    }
+    assert all(rg.is_ring_hom(h) for h in swapped.values())
+    g = rgl.RingedGluingFunctor(
+        "rts", (chart, chart), {(0, 1): a | b, (1, 0): a | b},
+        {(0, 1): {0: 0, 1: 1}, (1, 0): {0: 1, 1: 0}}, {(0, 1): identity, (1, 0): swapped},
+    )
+    report = rgl.validate_ringed_functor(g)
+    assert not report["ok"]
+    assert report["shape"] == [f"transitions ({i},{j}) and ({j},{i}) are not inverse" for i, j in ((0, 1), (1, 0))]
+    code, captured = verify_ringed_document(tmp_path, capsys, g)
+    assert code == 1, captured.err
+    assert json.loads(captured.out)["conditions"] == {"data_valid": False}
 
 
 def test_generator_relations_decide_the_transport_laws_like_the_loops(monkeypatch):
