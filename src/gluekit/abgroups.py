@@ -2,7 +2,10 @@
 
 A group is Z^m modulo the column span of its relation matrix.  Elements are
 ambient integer vectors; equality, kernels, products and equalizers are all
-decided through the Smith normal form of small integer matrices.
+decided through the Smith normal form of small integer matrices.  Only this
+module knows where a factor starts in a product: other modules map into a
+product with ``pairing``, out of it with ``projections``, and cut compatible
+families out of it with ``compatible_subgroup``.
 """
 
 from __future__ import annotations
@@ -205,18 +208,19 @@ def kernel(h: AbHom) -> tuple[FgAbGroup, AbHom]:
     return k, incl
 
 
+def _starts(groups) -> list[int]:
+    """Where each group's generators start in their product."""
+    return [sum(g.ambient for g in groups[:k]) for k in range(len(groups))]
+
+
 def product_group(groups) -> FgAbGroup:
     """Direct product, with the groups' generators in order."""
     ambient = sum(g.ambient for g in groups)
-    rel_cols = []
-    offset = 0
-    for g in groups:
-        if g.relations and g.relations[0]:
-            for col in il.columns(g.relations):
-                rel_cols.append(
-                    (0,) * offset + col + (0,) * (ambient - offset - g.ambient)
-                )
-        offset += g.ambient
+    rel_cols = [
+        (0,) * start + col + (0,) * (ambient - start - g.ambient)
+        for g, start in zip(groups, _starts(groups)) if g.relations and g.relations[0]
+        for col in il.columns(g.relations)
+    ]
     return FgAbGroup(ambient, il.from_columns(rel_cols, ambient) if rel_cols else ())
 
 
@@ -225,6 +229,51 @@ def equalizer(f: AbHom, g: AbHom) -> tuple[FgAbGroup, AbHom]:
     if f.dom != g.dom or f.cod != g.cod:
         raise ValidationError("equalizer needs a parallel pair")
     return kernel(sub_hom(f, g))
+
+
+def _on_factor(h: AbHom, prod: FgAbGroup, start: int) -> AbHom:
+    """h after the projection of ``prod`` onto its factor at ``start``: h's
+    rows padded with zeros."""
+    if not (h.dom.ambient and h.cod.ambient):
+        return zero_hom(prod, h.cod)
+    pad = prod.ambient - start - h.dom.ambient
+    return AbHom(prod, h.cod, tuple((0,) * start + row + (0,) * pad for row in h.matrix))
+
+
+def pairing(dom: FgAbGroup, cod: FgAbGroup, homs) -> AbHom:
+    """The hom from ``dom`` into the product ``cod`` of the homs' codomains
+    whose components are ``homs``."""
+    rows = [row for h in homs if h.cod.ambient for row in h.matrix]
+    return AbHom(dom, cod, tuple(rows) if cod.ambient else ())
+
+
+def projections(groups) -> list[AbHom]:
+    """The projections of ``product_group(groups)`` onto its factors."""
+    return compatible_subgroup(groups, ())[2]
+
+
+def compatible_subgroup(parts, agreements) -> tuple[FgAbGroup, AbHom, list[AbHom]]:
+    """The families x in the product of ``parts`` with fa(x[a]) = fb(x[b])
+    for every (a, b, fa, fb) in ``agreements``, the group counterpart of
+    ``ringedglue.compatible_families``, as one equalizer.  Returns (subgroup,
+    inclusion into ``product_group(parts)``, legs): legs[k] is the inclusion
+    then projection k, cut from the inclusion's rows.  With no agreements
+    the subgroup is the product and the inclusion its identity."""
+    prod, starts = product_group(parts), _starts(parts)
+    if agreements:
+        cod = product_group([fa.cod for _, _, fa, _ in agreements])
+        sub, incl = equalizer(
+            pairing(prod, cod, [_on_factor(fa, prod, starts[a]) for a, _, fa, _ in agreements]),
+            pairing(prod, cod, [_on_factor(fb, prod, starts[b]) for _, b, _, fb in agreements]),
+        )
+    else:
+        sub, incl = prod, id_hom(prod)
+    legs = [
+        AbHom(sub, part, incl.matrix[start:start + part.ambient]) if sub.ambient and part.ambient
+        else zero_hom(sub, part)
+        for part, start in zip(parts, starts)
+    ]
+    return sub, incl, legs
 
 
 def is_injective(h: AbHom) -> bool:

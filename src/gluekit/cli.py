@@ -259,7 +259,7 @@ def _cmd_report(args) -> int:
     else:
         if not isinstance(doc, dict) or "glued_space" not in doc:
             raise ValidationError("artifact file has no glued_space to draw")
-        space = jsonio._space(doc["glued_space"], "/glued_space")
+        space = jsonio.parse_space(doc["glued_space"], "/glued_space")
         text = ft.specialization_dot(space, "glued") + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

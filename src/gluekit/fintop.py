@@ -308,11 +308,11 @@ def quotient_final(space: FinSpace, pairs) -> tuple[FinSpace, ContinuousMap]:
     for k, c in enumerate(classes):
         for p in c:
             cls_of[p] = k
-    q = _final_topology(len(classes), [(space, cls_of)])
+    q = final_topology(len(classes), [(space, cls_of)])
     return q, ContinuousMap(space, q, tuple(cls_of))
 
 
-def _final_topology(n: int, maps) -> FinSpace:
+def final_topology(n: int, maps) -> FinSpace:
     """Final topology on n points for (domain, assignment) maps into them: the
     minimal open of z is everything reachable from z along the steps
     f(x) -> f(y) for y in the minimal open of x."""

@@ -190,22 +190,15 @@ def natural_automorphism(rng: random.Random, f: ps.Presheaf, base_group: ab.FgAb
     twist per component of the domain, routed to every smaller open."""
     domain_comps = ft.components_of_open(f.space, f.domain)
     g_amb = base_group.ambient
-    twists = [random_unimodular(rng, g_amb) if g_amb else il.identity(0) for _ in domain_comps]
+    twists = [ab.AbHom(base_group, base_group, random_unimodular(rng, g_amb) if g_amb else ()) for _ in domain_comps]
     components = {}
     for o in f.opens():
-        blocks = []
-        for comp in ft.components_of_open(f.space, o):
-            parent = next(k for k, c in enumerate(domain_comps) if comp <= c)
-            blocks.append(twists[parent])
-        amb = f.group(o).ambient
-        rows = []
-        for bi, block in enumerate(blocks):
-            for r in range(g_amb):
-                row = [0] * amb
-                for c in range(g_amb):
-                    row[bi * g_amb + c] = block[r][c]
-                rows.append(tuple(row))
-        components[o] = ab.AbHom(f.group(o), f.group(o), tuple(rows) if rows else ())
+        comps = ft.components_of_open(f.space, o)
+        blocks = [
+            ab.compose_hom(next(t for c, t in zip(domain_comps, twists) if comp <= c), proj)
+            for comp, proj in zip(comps, ab.projections([base_group] * len(comps)))
+        ]
+        components[o] = ab.pairing(f.group(o), f.group(o), blocks)
     return ps.EnrichedMorphism(f, f, components)
 
 

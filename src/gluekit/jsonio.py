@@ -48,11 +48,35 @@ def _require(doc: dict, key: str, pointer: str):
     return doc[key]
 
 
-def _space(doc, pointer) -> FinSpace:
+def parse_space(doc, pointer) -> FinSpace:
     try:
         return ft.space_from_json(doc)
     except (ValidationError, KeyError, TypeError, ValueError) as exc:
         _fail(pointer, f"bad space: {exc}")
+
+
+def _chart_tables(doc, pointer, section, hom) -> tuple[dict, dict]:
+    """A chart's ``sections`` table, keyed by open, and its ``restrictions``
+    table, keyed by ``"U>V"``: ``section(value, pointer)`` reads one section
+    object and ``hom(dom, cod, value)`` one restriction, raising
+    ``ValidationError`` on a bad value."""
+    sections = {}
+    for key, value in _require(doc, "sections", pointer).items():
+        at = f"{pointer}/sections/{key}"
+        sections[parse_open_key(key, at)] = section(value, at)
+    restrictions = {}
+    for key, value in _require(doc, "restrictions", pointer).items():
+        at = f"{pointer}/restrictions/{key}"
+        if ">" not in key:
+            _fail(at, "key must look like 'U>V'")
+        u, v = (parse_open_key(k, at) for k in key.split(">", 1))
+        if u not in sections or v not in sections:
+            _fail(at, "restriction references an unknown open")
+        try:
+            restrictions[(u, v)] = hom(sections[u], sections[v], value)
+        except ValidationError as exc:
+            _fail(at, str(exc))
+    return sections, restrictions
 
 
 def parse_document(doc: dict, variant: str | None = None) -> dict:
@@ -90,7 +114,7 @@ def parse_document(doc: dict, variant: str | None = None) -> dict:
 def _parse_top(doc, variant: str) -> tg.TopGluingData:
     spaces = {}
     for sid, sdoc in _require(doc, "spaces", "/").items():
-        spaces[sid] = _space(sdoc, f"/spaces/{sid}")
+        spaces[sid] = parse_space(sdoc, f"/spaces/{sid}")
     chart_ids = _require(doc, "charts", "/")
     for k, cid in enumerate(chart_ids):
         if cid not in spaces:
@@ -205,35 +229,23 @@ def top_data_to_document(data: tg.TopGluingData) -> dict:
 
 
 def _parse_sheaf(doc) -> sg.SheafGluingData:
-    base = _space(_require(doc, "space", "/"), "/space")
+    base = parse_space(_require(doc, "space", "/"), "/space")
     cover = []
     for k, pts in enumerate(_require(doc, "cover", "/")):
         o = frozenset(int(p) for p in pts)
         if o not in base.opens:
             _fail(f"/cover/{k}", "cover member is not open in the base")
         cover.append(o)
+
+    def group_at(gdoc, pointer):
+        try:
+            return ab.group_from_json(gdoc)
+        except (ValidationError, KeyError, TypeError) as exc:
+            _fail(pointer, str(exc))
+
     sheaves = []
     for i, sh_doc in enumerate(_require(doc, "sheaves", "/")):
-        sections = {}
-        for key, gdoc in _require(sh_doc, "sections", f"/sheaves/{i}").items():
-            o = parse_open_key(key, f"/sheaves/{i}/sections/{key}")
-            try:
-                sections[o] = ab.group_from_json(gdoc)
-            except (ValidationError, KeyError, TypeError) as exc:
-                _fail(f"/sheaves/{i}/sections/{key}", str(exc))
-        restrictions = {}
-        for key, mat in _require(sh_doc, "restrictions", f"/sheaves/{i}").items():
-            if ">" not in key:
-                _fail(f"/sheaves/{i}/restrictions/{key}", "key must look like 'U>V'")
-            ukey, vkey = key.split(">", 1)
-            u = parse_open_key(ukey, f"/sheaves/{i}/restrictions/{key}")
-            v = parse_open_key(vkey, f"/sheaves/{i}/restrictions/{key}")
-            if u not in sections or v not in sections:
-                _fail(f"/sheaves/{i}/restrictions/{key}", "restriction references an unknown open")
-            try:
-                restrictions[(u, v)] = ab.make_hom(sections[u], sections[v], mat)
-            except ValidationError as exc:
-                _fail(f"/sheaves/{i}/restrictions/{key}", str(exc))
+        sections, restrictions = _chart_tables(sh_doc, f"/sheaves/{i}", group_at, ab.make_hom)
         try:
             sheaves.append(ps.make_presheaf(base, cover[i], sections, restrictions))
         except ValidationError as exc:
@@ -294,27 +306,16 @@ def _parse_ringed(doc, variant: str) -> rgl.RingedGluingFunctor:
             rings[rid] = rg.ring_from_json(rdoc)
         except (ValidationError, KeyError, TypeError, ValueError) as exc:
             _fail(f"/rings/{rid}", str(exc))
+
+    def ring_at(rid, pointer):
+        if rid not in rings:
+            _fail(pointer, f"undefined ring id {rid!r}")
+        return rings[rid]
+
     charts = []
     for i, ch in enumerate(_require(doc, "charts", "/")):
-        top = _space(_require(ch, "space", f"/charts/{i}"), f"/charts/{i}/space")
-        sections = {}
-        for key, rid in _require(ch, "sections", f"/charts/{i}").items():
-            if rid not in rings:
-                _fail(f"/charts/{i}/sections/{key}", f"undefined ring id {rid!r}")
-            sections[parse_open_key(key, f"/charts/{i}/sections/{key}")] = rings[rid]
-        restr = {}
-        for key, assign in _require(ch, "restrictions", f"/charts/{i}").items():
-            if ">" not in key:
-                _fail(f"/charts/{i}/restrictions/{key}", "key must look like 'U>V'")
-            ukey, vkey = key.split(">", 1)
-            u = parse_open_key(ukey, f"/charts/{i}/restrictions/{key}")
-            v = parse_open_key(vkey, f"/charts/{i}/restrictions/{key}")
-            if u not in sections or v not in sections:
-                _fail(f"/charts/{i}/restrictions/{key}", "unknown open")
-            try:
-                restr[(u, v)] = rg.make_ring_hom(sections[u], sections[v], assign)
-            except ValidationError as exc:
-                _fail(f"/charts/{i}/restrictions/{key}", str(exc))
+        top = parse_space(_require(ch, "space", f"/charts/{i}"), f"/charts/{i}/space")
+        sections, restr = _chart_tables(ch, f"/charts/{i}", ring_at, rg.make_ring_hom)
         try:
             charts.append(rgl.make_ringed_space(top, sections, restr))
         except ValidationError as exc:

@@ -9,9 +9,9 @@ take the section operations as arguments, so ``make_presheaf`` and
 ring ones.  Both decide on covering pairs of opens, the naturality check
 when it is given the lower covers.  ``EnrichedMorphism`` is the one
 morphism type: a natural transformation on one domain is the case whose
-open part is the identity.  The sheaf condition is decided through
-equalizers on one cover per open, its minimal cover: the canonical map
-into the compatible-family subgroup must be an isomorphism.
+open part is the identity.  The sheaf condition is decided on one cover per
+open, its minimal cover: the canonical map into the compatible families
+(``abgroups.compatible_subgroup``) must be an isomorphism.
 
 Convention: sections over the empty set form the trivial group.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from . import abgroups as ab
 from .errors import ValidationError
@@ -166,45 +167,16 @@ def restrict_presheaf(f: Presheaf, u) -> Presheaf:
     return Presheaf(f.space, u, sections, restrictions)
 
 
-def _stack_homs(parts: list[ab.AbHom], dom: ab.FgAbGroup, cod_product: ab.FgAbGroup) -> ab.AbHom:
-    """The hom into a product whose components are ``parts``."""
-    rows: list[tuple[int, ...]] = []
-    for h in parts:
-        rows.extend(h.matrix if h.cod.ambient else ())
-    return ab.AbHom(dom, cod_product, tuple(rows) if cod_product.ambient else ())
-
-
-def _from_factors(dom: ab.FgAbGroup, cod: ab.FgAbGroup, blocks) -> ab.AbHom:
-    """The hom from the product ``dom`` into ``cod`` stacking, for each
-    (h, offset) in ``blocks``, h after the projection onto the factor at
-    ``offset``: h's rows padded with zeros, as the 0/1 product would give."""
-    rows: list[tuple[int, ...]] = []
-    for h, offset in blocks:
-        if h.dom.ambient and h.cod.ambient and dom.ambient:
-            left, right = (0,) * offset, (0,) * (dom.ambient - offset - h.dom.ambient)
-            rows += [left + row + right for row in h.matrix]
-        else:
-            rows += [(0,) * dom.ambient] * h.cod.ambient
-    return ab.AbHom(dom, cod, tuple(rows) if cod.ambient else ())
-
-
-def _offsets(groups) -> list[int]:
-    """Where each group's generators start in their product."""
-    return [sum(g.ambient for g in groups[:k]) for k in range(len(groups))]
-
-
 def sheaf_condition_on_cover(f: Presheaf, v: Open, cover) -> tuple[bool, bool]:
-    """(identity axiom, gluing axiom) for one open and one cover of it."""
+    """(identity axiom, gluing axiom) for one open and one cover of it: the
+    map into the compatible families on the cover is injective, and onto."""
     cover = [frozenset(c) for c in cover]
-    groups = [f.group(c) for c in cover]
-    p_prod, at = ab.product_group(groups), _offsets(groups)
-    r = _stack_homs([f.res(v, c) for c in cover], f.group(v), p_prod)
-    n = len(cover)
-    pairs = [(a, b, cover[a] & cover[b]) for a in range(n) for b in range(a + 1, n)]
-    d_prod = ab.product_group([f.group(inter) for _, _, inter in pairs])
-    p_hom = _from_factors(p_prod, d_prod, [(f.res(cover[a], inter), at[a]) for a, _, inter in pairs])
-    q_hom = _from_factors(p_prod, d_prod, [(f.res(cover[b], inter), at[b]) for _, b, inter in pairs])
-    eq_group, incl = ab.equalizer(p_hom, q_hom)
+    agreements = [
+        (a, b, f.res(ca, ca & cb), f.res(cb, ca & cb))
+        for (a, ca), (b, cb) in combinations(enumerate(cover), 2)
+    ]
+    _, incl, _ = ab.compatible_subgroup([f.group(c) for c in cover], agreements)
+    r = ab.pairing(f.group(v), incl.cod, [f.res(v, c) for c in cover])
     factored = ab.factor_through(r, incl)
     if factored is None:
         return (ab.is_injective(r), False)
@@ -238,25 +210,15 @@ def locally_constant_sheaf(space: FinSpace, domain, group: ab.FgAbGroup) -> Pres
     domain = frozenset(domain)
     opens = opens_below(space, domain)
     comps = {o: components_of_open(space, o) for o in opens}
-    sections = {}
-    for o in opens:
-        sections[o] = ab.product_group([group] * len(comps[o]))
+    sections = {o: ab.product_group([group] * len(comps[o])) for o in opens}
     restrictions = {}
-    g_amb = group.ambient
     for u in opens:
+        projs = ab.projections([group] * len(comps[u]))
         for v in opens:
-            if not v <= u:
-                continue
-            rows = []
-            for cv in comps[v]:
-                parent = next(k for k, cu in enumerate(comps[u]) if cv <= cu)
-                for i in range(g_amb):
-                    row = [0] * sections[u].ambient
-                    row[parent * g_amb + i] = 1
-                    rows.append(tuple(row))
-            restrictions[(u, v)] = ab.AbHom(
-                sections[u], sections[v], tuple(rows) if rows else ()
-            )
+            if v <= u:
+                # each component of v lies in one component of u
+                parents = [next(p for cu, p in zip(comps[u], projs) if cv <= cu) for cv in comps[v]]
+                restrictions[(u, v)] = ab.pairing(sections[u], sections[v], parents)
     return make_presheaf(space, domain, sections, restrictions)
 
 

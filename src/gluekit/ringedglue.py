@@ -157,27 +157,6 @@ def restrict_ringed(space: RingedSpace, v) -> tuple[RingedSpace, list[int]]:
 
 
 @dataclass
-class Stalk:
-    minimal_open: Open
-    ring: rg.FinCommRing
-    germ_maps: dict[Open, rg.RingHom]
-
-
-def stalk_at(space: RingedSpace, x: int) -> Stalk:
-    """Sections over the minimal open of the point; germ maps are the
-    restrictions from every neighbourhood."""
-    if not 0 <= x < space.top.n:
-        raise ValidationError("point outside the space")
-    ux = minimal_open(space.top, x)
-    germ = {
-        u: space.res(u, ux)
-        for u in space.top.sorted_opens
-        if x in u
-    }
-    return Stalk(ux, space.ring(ux), germ)
-
-
-@dataclass
 class RingedSpaceMorphism:
     """Morphism with the plain-map side stored: ``top`` runs from the
     codomain's space to the domain's space, and the sheaf part pushes
@@ -414,7 +393,7 @@ def _validate(g: RingedGluingFunctor) -> tuple[dict, tg.TopGluingFunctor | None]
     if g.variant == "lrts":
         for i in range(n):
             for x in range(g.charts[i].top.n):
-                if not rg.is_local_ring(stalk_at(g.charts[i], x).ring):
+                if not rg.is_local_ring(g.charts[i].ring(minimal_open(g.charts[i].top, x))):
                     report["locality"].append(f"chart {i} has a non-local stalk at {x}")
         for i, j in permutations(range(n), 2):
             # the image of Tau(j, i) carries the transport (i, j)
@@ -544,7 +523,7 @@ def _executed_stalk_checks(g: RingedGluingFunctor, glued: GluedRinged) -> None:
             if not stalk_hom_well_defined(leg, x):
                 raise FalsificationError("stalk naturality square does not commute")
             if g.variant == "lrts":
-                if not rg.is_local_ring(stalk_at(glued.space, leg.top(x)).ring):
+                if not rg.is_local_ring(glued.space.ring(minimal_open(glued.space.top, leg.top(x)))):
                     raise FalsificationError("glued stalk is not local in the lrts variant")
                 if not rg.is_local_hom(smap):
                     raise FalsificationError("projection stalk map is not local")
@@ -634,7 +613,7 @@ def verify_ringed_glued(
     report["projections_commute"] = comparison_ok and commute_ok
     if g.variant == "lrts" and comparison_ok:
         report["locality"] = all(
-            rg.is_local_ring(stalk_at(candidate, x).ring) for x in range(candidate.top.n)
+            rg.is_local_ring(candidate.ring(minimal_open(candidate.top, x))) for x in range(candidate.top.n)
         ) and all(
             rg.is_local_hom(stalk_hom(legs[i], x)) for i in range(g.n) for x in range(g.charts[i].top.n)
         )

@@ -8,8 +8,9 @@ identity open parts.  Each transition's naturality is checked by
 ``check_enriched_morphism``; its other laws (inverse to its mirror, which
 makes it an isomorphism, and the cocycle law) only as the index category's
 generator relations.  The limit sheaf is materialized per open as the
-equalizer subgroup of the product of chart sections, the compatible
-families; restrictions are factored on covering pairs of opens only.
+compatible families of chart sections (``abgroups.compatible_subgroup``),
+whose legs are the limit cone's chart legs; restrictions are factored on
+covering pairs of opens only.
 """
 
 from __future__ import annotations
@@ -138,23 +139,15 @@ def sheaf_functor_from_data(data: SheafGluingData) -> SheafGluingData:
 @dataclass
 class LimitSheaf:
     carrier: ps.Presheaf
-    projections: dict[int, dict[Open, ab.AbHom]]
     inclusions: dict[Open, ab.AbHom]
     legs: dict[IdxObj, ps.EnrichedMorphism]
 
 
-def _factor_block(incl: ab.AbHom, part: ab.FgAbGroup, offset: int) -> ab.AbHom:
-    """The projection onto the product factor ``part`` at ``offset``, after
-    ``incl``: the rows of incl's matrix for that factor."""
-    if not (incl.dom.ambient and part.ambient):
-        return ab.zero_hom(incl.dom, part)
-    return ab.AbHom(incl.dom, part, incl.matrix[offset:offset + part.ambient])
-
-
 def build_limit_sheaf(g: SheafGluingData) -> LimitSheaf:
     """Sections over V are the transition-compatible tuples of chart
-    sections; restrictions act componentwise through a factorization that
-    must exist, and the chart projections assemble into a limit cone.
+    sections (``abgroups.compatible_subgroup``); restrictions act
+    componentwise through a factorization that must exist, and the chart
+    projections assemble into a limit cone.
 
     The factorization runs on u -> u and the covering pairs u -> c
     (``FinSpace.lower_covers``); another u -> v is r_cv after r_uc for a
@@ -163,37 +156,26 @@ def build_limit_sheaf(g: SheafGluingData) -> LimitSheaf:
     """
     base = g.base
     opens = base.sorted_opens
-    products: dict[Open, ab.FgAbGroup] = {}
     inclusions: dict[Open, ab.AbHom] = {}
     section_groups: dict[Open, ab.FgAbGroup] = {}
-    projections: dict[int, dict[Open, ab.AbHom]] = {i: {} for i in range(g.n)}
+    chart_legs: dict[Open, list[ab.AbHom]] = {}
     for v in opens:
+        agreements = []
+        for i, j in permutations(range(g.n), 2):
+            w = v & g.cover[i] & g.cover[j]
+            through = ab.compose_hom(g.transition_component(i, j, w), g.sheaves[i].res(v & g.cover[i], w))
+            agreements.append((i, j, through, g.sheaves[j].res(v & g.cover[j], w)))
         parts = [g.sheaves[i].group(v & g.cover[i]) for i in range(g.n)]
-        prod = products[v] = ab.product_group(parts)
-        at = ps._offsets(parts)
-        if g.n > 1:
-            pairs = [(i, j, v & g.cover[i] & g.cover[j]) for i, j in permutations(range(g.n), 2)]
-            phis = [g.transition_component(i, j, w) for i, j, w in pairs]
-            d_prod = ab.product_group([phi.cod for phi in phis])
-            first = [(ab.compose_hom(phi, g.sheaves[i].res(v & g.cover[i], w)), at[i])
-                     for phi, (i, _, w) in zip(phis, pairs)]
-            second = [(g.sheaves[j].res(v & g.cover[j], w), at[j]) for _, j, w in pairs]
-            sec, incl = ab.equalizer(ps._from_factors(prod, d_prod, first), ps._from_factors(prod, d_prod, second))
-        else:
-            sec, incl = prod, ab.id_hom(prod)
-        section_groups[v] = sec
-        inclusions[v] = incl
-        for i in range(g.n):
-            projections[i][v] = _factor_block(incl, parts[i], at[i])
+        section_groups[v], inclusions[v], chart_legs[v] = ab.compatible_subgroup(parts, agreements)
     restrictions: dict[tuple[Open, Open], ab.AbHom] = {}
     for u in opens:
         covers = base.lower_covers[u]
         for c in (u, *covers):
             blocks = [
-                ab.compose_hom(g.sheaves[i].res(u & g.cover[i], c & g.cover[i]), projections[i][u])
+                ab.compose_hom(g.sheaves[i].res(u & g.cover[i], c & g.cover[i]), chart_legs[u][i])
                 for i in range(g.n)
             ]
-            fac = ab.factor_through(ps._stack_homs(blocks, section_groups[u], products[c]), inclusions[c])
+            fac = ab.factor_through(ab.pairing(section_groups[u], inclusions[c].cod, blocks), inclusions[c])
             if fac is None:
                 raise FalsificationError(
                     "limit-sheaf restriction does not preserve compatibility"
@@ -209,10 +191,10 @@ def build_limit_sheaf(g: SheafGluingData) -> LimitSheaf:
         raise FalsificationError(f"limit presheaf failed a presheaf law: {exc}") from exc
     legs: dict[IdxObj, ps.EnrichedMorphism] = {}
     for i in range(g.n):
-        legs[single(i)] = ps.EnrichedMorphism(carrier, g.sheaves[i], dict(projections[i]))
+        legs[single(i)] = ps.EnrichedMorphism(carrier, g.sheaves[i], {v: chart_legs[v][i] for v in opens})
     for arrow in index_category(g.n).leg_generators:
         legs[arrow.cod] = ps.compose_enriched(g.gen_image(arrow), legs[arrow.dom])
-    return LimitSheaf(carrier, projections, inclusions, legs)
+    return LimitSheaf(carrier, inclusions, legs)
 
 
 def check_sheaf_cone(apex: ps.Presheaf, legs: dict[IdxObj, ps.EnrichedMorphism], g: SheafGluingData) -> bool:
@@ -235,12 +217,10 @@ def mediating_into_limit(
     """Componentwise comparison into the limit: at every open, the tuple of
     single-chart leg components, factored through the compatible-family
     subgroup.  Returns None when some tuple is incompatible."""
-    comps = {}
+    chart_legs, comps = [legs[single(i)] for i in range(g.n)], {}
     for v in lim.carrier.opens():
-        parts = [legs[single(i)].component(v) for i in range(g.n)]
-        prod = lim.inclusions[v].cod
-        tuple_hom = ps._stack_homs(parts, apex.group(v), prod)
-        fac = ab.factor_through(tuple_hom, lim.inclusions[v])
+        parts = [leg.component(v) for leg in chart_legs]
+        fac = ab.factor_through(ab.pairing(apex.group(v), lim.inclusions[v].cod, parts), lim.inclusions[v])
         if fac is None:
             return None
         comps[v] = fac
@@ -272,8 +252,8 @@ def verify_sheaf_glued(
         ab.compose_hom, ab.same_hom, checked,
     )
     commute_ok = all(
-        ab.same_hom(ab.compose_hom(lim.projections[i][v], comps[v]), legs[single(i)].component(v))
-        for i in range(g.n) for v in candidate.opens()
+        ab.same_hom(ab.compose_hom(lim.legs[a].component(v), comps[v]), legs[a].component(v))
+        for a in map(single, range(g.n)) for v in candidate.opens()
     )
     report["projections_commute"] = commute_ok
     report["verdict"] = report["cone"] and report["comparison_iso"] and commute_ok

@@ -319,7 +319,7 @@ def verify_glued(q: FinSpace, iota: dict[IdxObj, ContinuousMap], g: TopGluingFun
         for i in range(g.n)
     )
     chart_legs = [iota[single(i)] for i in range(g.n)]
-    cond["final_topology"] = q == ft._final_topology(q.n, [(f.dom, f.assign) for f in chart_legs])
+    cond["final_topology"] = q == ft.final_topology(q.n, [(f.dom, f.assign) for f in chart_legs])
     overlap_ok = True
     for i, j in permutations(range(g.n), 2):
         lhs = iota[single(i)].image_of(

@@ -38,6 +38,69 @@ def product(groups):
     return prod, projections, injections
 
 
+# --- the hand assembly that abgroups.compatible_subgroup and pairing
+# --- replaced, kept as their reference
+
+def reference_offsets(groups):
+    """Where each group's generators start in their product."""
+    return [sum(g.ambient for g in groups[:k]) for k in range(len(groups))]
+
+
+def reference_stack_homs(parts, dom, cod_product):
+    """The hom into a product whose components are ``parts``."""
+    rows = []
+    for h in parts:
+        rows.extend(h.matrix if h.cod.ambient else ())
+    return ab.AbHom(dom, cod_product, tuple(rows) if cod_product.ambient else ())
+
+
+def reference_from_factors(dom, cod, blocks):
+    """The hom from the product ``dom`` into ``cod`` stacking, for each
+    (h, offset) in ``blocks``, h after the projection onto the factor at
+    ``offset``: h's rows padded with zeros, as the 0/1 product would give."""
+    rows = []
+    for h, offset in blocks:
+        if h.dom.ambient and h.cod.ambient and dom.ambient:
+            left, right = (0,) * offset, (0,) * (dom.ambient - offset - h.dom.ambient)
+            rows += [left + row + right for row in h.matrix]
+        else:
+            rows += [(0,) * dom.ambient] * h.cod.ambient
+    return ab.AbHom(dom, cod, tuple(rows) if cod.ambient else ())
+
+
+def reference_compatible_subgroup(parts, agreements):
+    """(subgroup, inclusion) of the families agreeing under every
+    (a, b, fa, fb), as the sheaf condition and the limit sheaf built it."""
+    prod, at = ab.product_group(parts), reference_offsets(parts)
+    if not agreements:
+        return prod, ab.id_hom(prod)
+    d_prod = ab.product_group([fa.cod for _, _, fa, _ in agreements])
+    return ab.equalizer(
+        reference_from_factors(prod, d_prod, [(fa, at[a]) for a, _, fa, _ in agreements]),
+        reference_from_factors(prod, d_prod, [(fb, at[b]) for _, b, _, fb in agreements]),
+    )
+
+
+def assert_matches_reference(parts, agreements):
+    """``ab.compatible_subgroup`` against the reference: the same group, as
+    each inclusion factors through the other; each leg is the hand-built
+    projection after the inclusion; and the legs satisfy every agreement."""
+    sub, incl, legs = ab.compatible_subgroup(parts, agreements)
+    ref, ref_incl = reference_compatible_subgroup(parts, agreements)
+    assert ab.invariants(sub) == ab.invariants(ref)
+    assert incl.dom == sub and incl.cod == ref_incl.cod
+    assert ab.factor_through(incl, ref_incl) is not None
+    assert ab.factor_through(ref_incl, incl) is not None
+    _, projs, _ = product(parts)
+    assert len(legs) == len(parts)
+    for leg, proj in zip(legs, projs):
+        assert leg.dom == sub and leg.cod == proj.cod
+        assert ab.same_hom(leg, ab.compose_hom(proj, incl))
+    for a, b, fa, fb in agreements:
+        assert ab.same_hom(ab.compose_hom(fa, legs[a]), ab.compose_hom(fb, legs[b]))
+    return sub
+
+
 def scale_hom(c, f):
     return ab.AbHom(f.dom, f.cod, tuple(tuple(c * x for x in row) for row in f.matrix))
 
@@ -237,17 +300,55 @@ def test_product_universal_property():
         prod, projs, injs = product(parts)
         t = random_group(rng)
         comps = [random_hom(rng, t, g) for g in parts]
-        rows = []
-        for h in comps:
-            rows.extend(h.matrix if h.cod.ambient else ())
-        u = ab.AbHom(t, prod, tuple(rows) if prod.ambient else ())
-        for proj, h in zip(projs, comps):
+        u = ab.pairing(t, prod, comps)
+        assert u.matrix == reference_stack_homs(comps, t, prod).matrix
+        for proj, ab_proj, h in zip(projs, ab.projections(parts), comps):
             assert ab.same_hom(ab.compose_hom(proj, u), h)
+            assert ab_proj.dom == prod and ab.same_hom(ab_proj, proj)
+            assert ab.same_hom(ab.compose_hom(ab_proj, u), h)
         # uniqueness: difference of two mediators is killed by all projections
         diff_killed = all(
             ab.is_zero_hom(ab.compose_hom(proj, ab.sub_hom(u, u))) for proj in projs
         )
         assert diff_killed
+
+
+def test_compatible_subgroup_edge_cases():
+    trivial, z4 = ab.trivial_group(), ab.group_from_invariants(0, (4,))
+    # no agreements: the product, its identity and its projections
+    sub, incl, legs = ab.compatible_subgroup([Z, Z2], [])
+    assert sub == ab.product_group([Z, Z2]) and ab.same_hom(incl, ab.id_hom(sub))
+    assert all(ab.same_hom(leg, p) for leg, p in zip(legs, ab.projections([Z, Z2])))
+    assert ab.invariants(assert_matches_reference([Z, Z2], [])) == (1, (2,))
+    # an agreement into the trivial group cuts nothing out
+    into_zero = (0, 1, ab.zero_hom(Z, trivial), ab.zero_hom(Z2, trivial))
+    assert ab.invariants(assert_matches_reference([Z, Z2], [into_zero])) == (1, (2,))
+    # torsion parts: x in Z/4 and y in Z/2 with x = y mod 2 form a Z/4
+    mod2 = ab.make_hom(z4, Z2, [[1]])
+    assert ab.invariants(assert_matches_reference([z4, Z2], [(0, 1, mod2, ab.id_hom(Z2))])) == (0, (4,))
+    # an ambient-0 part between two others: its leg is zero, its
+    # agreements force the other side to vanish
+    parts = [Z, trivial, Z2]
+    agreements = [(0, 2, ab.make_hom(Z, Z2, [[1]]), ab.id_hom(Z2)), (1, 0, ab.zero_hom(trivial, Z), ab.id_hom(Z))]
+    sub = assert_matches_reference(parts, agreements)
+    assert ab.is_trivial(sub)
+    assert ab.compatible_subgroup(parts, agreements)[2][1].cod == trivial
+    # an agreement of one part with itself
+    sub = assert_matches_reference([Z], [(0, 0, ab.id_hom(Z), scale_hom(-1, ab.id_hom(Z)))])
+    assert ab.is_trivial(sub)
+
+
+def test_compatible_subgroup_matches_reference_on_random_agreements():
+    rng = random.Random(2718)
+    trivial = ab.trivial_group()
+    for _ in range(150):
+        parts = [trivial if rng.random() < 0.15 else random_group(rng) for _ in range(rng.randint(1, 3))]
+        agreements = []
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.randrange(len(parts)), rng.randrange(len(parts))
+            d = trivial if rng.random() < 0.15 else random_group(rng)
+            agreements.append((a, b, random_hom(rng, parts[a], d), random_hom(rng, parts[b], d)))
+        assert_matches_reference(parts, agreements)
 
 
 def test_equalizer_universal_property():

@@ -13,6 +13,7 @@ from test_fintop import sierpinski
 from test_indexcat import oracle_hom_pairs, oracle_objects, support
 from test_intlinalg import is_unimodular
 from test_presheaves import inverse_enriched
+from test_ringedglue import stalk_at
 
 from gluekit import abgroups as ab
 from gluekit import cli
@@ -227,7 +228,7 @@ def test_criterion_09_stalk_lemma_and_locality():
                 assert rg.is_ring_iso(smap)
         if variant == "lrts":
             for x in range(glued.space.top.n):
-                assert rg.is_local_ring(rgl.stalk_at(glued.space, x).ring)
+                assert rg.is_local_ring(stalk_at(glued.space, x).ring)
         assert rgl.verify_ringed_glued(glued.space, glued.legs, g, glued)["verdict"]
     _report(9, "stalk isomorphisms, locality, lrts closure", t0, 60.0)
 

@@ -15,7 +15,7 @@ from gluekit import presheaves as ps
 from gluekit import sheafglue as sg
 from gluekit.errors import FalsificationError, ValidationError
 from gluekit.indexcat import generator_path, index_category, single
-from test_abgroups import same_element, scale_hom
+from test_abgroups import assert_matches_reference, same_element, scale_hom
 from test_presheaves import inverse_enriched
 
 Z = ab.free_group(1)
@@ -83,7 +83,7 @@ def test_single_chart_functor():
     lim = sg.build_limit_sheaf(functor)
     # the limit is the chart itself up to canonical isomorphism
     for v in lim.carrier.opens():
-        assert ab.is_iso(lim.projections[0][v])
+        assert ab.is_iso(lim.legs[single(0)].alpha[v])
 
 
 def test_two_origins_data_functor_and_limit():
@@ -168,6 +168,38 @@ def test_cocycle_corruption_rejected_on_three_charts():
     raise AssertionError("no corruptible three-chart instance generated")
 
 
+def test_compatible_subgroup_matches_the_hand_assembly_on_seeded_data(monkeypatch):
+    """Every compatible subgroup that the cover checks of the charts and of
+    the limit carrier, and every open of ``build_limit_sheaf``, ask for is
+    compared with the hand assembly it replaced."""
+    real, calls = ab.compatible_subgroup, []
+
+    def recording(parts, agreements):
+        calls.append((phase, list(parts), list(agreements)))
+        return real(parts, agreements)
+
+    monkeypatch.setattr(ab, "compatible_subgroup", recording)
+    rng = random.Random(4242)
+    seen = {"charts": 0, "limit": 0, "carrier": 0}
+    for _ in range(100):
+        phase = "generator"
+        base, cover, charts, transitions, _ = gen.random_sheaf_data(rng, max_points=5, max_charts=3, max_rank=2)
+        phase = "charts"
+        g = sg.sheaf_functor_from_data(sg.SheafGluingData(base, tuple(cover), charts, transitions))
+        phase = "limit"
+        before = len(calls)
+        lim = sg.build_limit_sheaf(g)
+        assert len(calls) - before == len(base.sorted_opens)
+        phase = "carrier"
+        assert ps.is_sheaf(lim.carrier) == (True, None)
+    monkeypatch.undo()
+    for phase, parts, agreements in calls:
+        if phase in seen:
+            assert_matches_reference(parts, agreements)
+            seen[phase] += 1
+    assert min(seen.values()) > 50, seen
+
+
 def test_disjoint_cover_gives_direct_sum():
     base = ft.discrete_space(2)
     cover = (frozenset({0}), frozenset({1}))
@@ -195,7 +227,7 @@ def test_projections_natural_and_retraction_law():
             probe = tuple(2 for _ in range(chart_group.ambient))
             lifted = extend_section(lim, functor, i, v, probe)
             assert lifted is not None
-            back = lim.projections[i][v](lifted)
+            back = lim.legs[single(i)].alpha[v](lifted)
             assert same_element(chart_group, back, probe)
 
 
@@ -207,7 +239,7 @@ def test_extend_section_single_chart_is_identity():
     lim = sg.build_limit_sheaf(functor)
     got = extend_section(lim, functor, 0, base.full(), (7,))
     assert got is not None
-    assert lim.projections[0][base.full()](got) == (7,)
+    assert lim.legs[single(0)].alpha[base.full()](got) == (7,)
 
 
 def test_extend_section_absent_outside_domain():
@@ -289,7 +321,7 @@ def test_limit_universal_property_against_presheaf_cones():
             # the mediating component recovers the scaling, uniquely
             assert ab.same_hom(comps[o], theta[o])
             assert ab.same_hom(
-                ab.compose_hom(lim.projections[0][o], comps[o]), legs[single(0)].alpha[o]
+                ab.compose_hom(lim.legs[single(0)].alpha[o], comps[o]), legs[single(0)].alpha[o]
             )
         cones += 1
     assert cones == 4
