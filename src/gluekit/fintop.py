@@ -10,7 +10,9 @@ against the standard fiber product through an explicit comparison map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
+from itertools import chain, compress
+from operator import or_
 
 from .errors import ValidationError
 
@@ -164,11 +166,10 @@ class ContinuousMap:
         return self.assign[x]
 
     def image_of(self, s) -> Open:
-        return frozenset(self.assign[x] for x in s)
+        return frozenset(map(self.assign.__getitem__, s))
 
     def preimage_of(self, s) -> Open:
-        s = frozenset(s)
-        return frozenset(x for x in range(self.dom.n) if self.assign[x] in s)
+        return frozenset(compress(range(self.dom.n), map(frozenset(s).__contains__, self.assign)))
 
     def __repr__(self):
         return f"ContinuousMap({self.dom.n}->{self.cod.n}, {self.assign})"
@@ -190,16 +191,16 @@ def make_map(dom: FinSpace, cod: FinSpace, assign) -> ContinuousMap:
 def is_continuous(f: ContinuousMap) -> bool:
     """Monotone for the specialization preorders: f maps each minimal open
     into the minimal open of the image point."""
-    cod = f.cod.minimal
-    return all(f.image_of(ux) <= cod[f.assign[x]] for x, ux in enumerate(f.dom.minimal))
+    images = map(partial(map, f.assign.__getitem__), f.dom.minimal)
+    return all(map(frozenset.issuperset, map(f.cod.minimal.__getitem__, f.assign), images))
 
 
 def is_open_map(f: ContinuousMap) -> bool:
     """The image of each minimal open is open, i.e. holds the minimal open
     of each of its points."""
-    cod = f.cod.minimal
-    images = [f.image_of(ux) for ux in f.dom.minimal]
-    return all(cod[y] <= image for image in images for y in image)
+    cod = f.cod.minimal.__getitem__
+    images = map(frozenset, map(partial(map, f.assign.__getitem__), f.dom.minimal))
+    return all(image.issuperset(chain.from_iterable(map(cod, image))) for image in images)
 
 
 def identity_map(space: FinSpace) -> ContinuousMap:
@@ -210,7 +211,7 @@ def compose(f: ContinuousMap, g: ContinuousMap) -> ContinuousMap:
     """f after g."""
     if g.cod != f.dom:
         raise ValidationError("compose: endpoint mismatch")
-    return ContinuousMap(g.dom, f.cod, tuple(f.assign[g.assign[x]] for x in range(g.dom.n)))
+    return ContinuousMap(g.dom, f.cod, tuple(map(f.assign.__getitem__, g.assign)))
 
 
 def is_injective(f: ContinuousMap) -> bool:
@@ -315,21 +316,19 @@ def quotient_final(space: FinSpace, pairs) -> tuple[FinSpace, ContinuousMap]:
 def final_topology(n: int, maps) -> FinSpace:
     """Final topology on n points for (domain, assignment) maps into them: the
     minimal open of z is everything reachable from z along the steps
-    f(x) -> f(y) for y in the minimal open of x."""
-    succ = [set() for _ in range(n)]
+    f(x) -> f(y) for y in the minimal open of x.  Point sets are int
+    bitmasks, closed under reachability one point k at a time (Warshall)."""
+    reach = [1 << z for z in range(n)]
     for dom, assign in maps:
-        for x, ux in enumerate(dom.minimal):
-            succ[assign[x]].update(assign[y] for y in ux)
-    minimal = []
-    for z in range(n):
-        seen = {z}
-        stack = [z]
-        while stack:
-            for w in succ[stack.pop()] - seen:
-                seen.add(w)
-                stack.append(w)
-        minimal.append(frozenset(seen))
-    return FinSpace(n, tuple(minimal))
+        bits = [1 << y for y in assign]
+        for z, ux in zip(assign, dom.minimal):
+            reach[z] |= reduce(or_, map(bits.__getitem__, ux), 0)
+    for k in range(n):
+        bit, row = 1 << k, reach[k]
+        for z in range(n):
+            if reach[z] & bit:
+                reach[z] |= row
+    return FinSpace(n, tuple(frozenset(x for x in range(n) if mask >> x & 1) for mask in reach))
 
 
 def fiber_product(f: ContinuousMap, g: ContinuousMap) -> tuple[FinSpace, ContinuousMap, ContinuousMap]:

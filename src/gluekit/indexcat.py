@@ -16,14 +16,14 @@ Generator naming (one fixed convention for the several notations in use):
 * ``TauT(i, j, k)``  : [j,{i,k}]-> [i,{j,k}]   (swap of the first two slots)
 
 Degenerate generators (repeated indices) collapse to identities or to the
-arrows above under canonicalization and are not stored.  A generator builds
-its ``dom`` and ``cod`` objects once, on first read.
+arrows above under canonicalization and are not stored.  A generator's
+``dom`` and ``cod`` are read from the interning constructors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .errors import ValidationError
@@ -32,6 +32,8 @@ DEFAULT_MAX_INDEX = 6
 
 # entries kept by the generator_path cache, so a long batch stays bounded in memory
 _PATH_CACHE_SIZE = 4096
+# index objects kept by each interning constructor (single, pair, triple)
+_INTERNED = 1024
 
 
 @dataclass(frozen=True)
@@ -58,14 +60,20 @@ class IdxObj:
         return self.label()
 
 
+# The constructors below intern their objects: one shared object per
+# argument tuple, built and checked once.  Objects keep value equality and
+# hashing, so one built again after an eviction finds the same entries.
+@lru_cache(maxsize=_INTERNED)
 def single(i: int) -> IdxObj:
     return IdxObj(i)
 
 
+@lru_cache(maxsize=_INTERNED)
 def pair(i: int, j: int) -> IdxObj:
     return IdxObj(i, (j,))
 
 
+@lru_cache(maxsize=_INTERNED)
 def triple(i: int, j: int, k: int) -> IdxObj:
     return IdxObj(i, (min(j, k), max(j, k)))
 
@@ -102,11 +110,11 @@ class Eta:
     i: int
     j: int
 
-    @cached_property
+    @property
     def dom(self) -> IdxObj:
         return single(self.i)
 
-    @cached_property
+    @property
     def cod(self) -> IdxObj:
         return pair(self.i, self.j)
 
@@ -116,11 +124,11 @@ class Tau:
     i: int
     j: int
 
-    @cached_property
+    @property
     def dom(self) -> IdxObj:
         return pair(self.j, self.i)
 
-    @cached_property
+    @property
     def cod(self) -> IdxObj:
         return pair(self.i, self.j)
 
@@ -133,11 +141,11 @@ class EtaT:
     via: int
     other: int
 
-    @cached_property
+    @property
     def dom(self) -> IdxObj:
         return pair(self.i, self.via)
 
-    @cached_property
+    @property
     def cod(self) -> IdxObj:
         return triple(self.i, self.via, self.other)
 
@@ -150,11 +158,11 @@ class TauT:
     j: int
     k: int
 
-    @cached_property
+    @property
     def dom(self) -> IdxObj:
         return triple(self.j, self.i, self.k)
 
-    @cached_property
+    @property
     def cod(self) -> IdxObj:
         return triple(self.i, self.j, self.k)
 

@@ -308,7 +308,8 @@ def _parse_ringed(doc, variant: str) -> rgl.RingedGluingFunctor:
             _fail(f"/rings/{rid}", str(exc))
 
     def ring_at(rid, pointer):
-        if rid not in rings:
+        # ring ids are the keys of the rings table, so strings
+        if not isinstance(rid, str) or rid not in rings:
             _fail(pointer, f"undefined ring id {rid!r}")
         return rings[rid]
 

@@ -9,9 +9,10 @@ overlap identifications and carries the final topology.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product as iproduct
+from itertools import accumulate, chain, permutations, product as iproduct
 from operator import countOf, itemgetter
 
 from . import fintop as ft
@@ -32,7 +33,8 @@ from .indexcat import (
 )
 
 TripleKey = tuple[int, frozenset[int]]
-Square = tuple[int, int, tuple[int, ...]]
+# reads chosen positions of the concatenated leg assignments
+Reader = Callable[[Sequence[int]], tuple[int, ...] | int]
 
 
 @dataclass
@@ -68,30 +70,47 @@ class TopGluingFunctor:
     arrows: dict[Generator, ContinuousMap]
 
     @cached_property
-    def cone_squares(self) -> tuple[tuple[Square, ...] | None, ...] | ValidationError:
-        """Per cone characterization of ``is_cone``, the squares of
-        ``index_category(n).cone_squares`` as (b, a, m): the leg at b must
-        equal the leg at a after m, the assignment of the chain's plain map
-        from the space at b to the space at a, objects given by positions in
-        ``objects``.  Built once per functor.  A characterization with a
-        square whose domain is not the space at b is None (no legs satisfy
-        it); arrows that do not compose give their ValidationError instead."""
-        index = {a: k for k, a in enumerate(self.objects)}
+    def cone_squares(self) -> tuple[tuple[Reader, Reader] | None, ...] | ValidationError:
+        """Per cone characterization of ``is_cone``, its squares compiled to
+        two readers of the legs' assignments concatenated in ``objects``
+        order.  A square (a, b, chain) of ``index_category(n).cone_squares``
+        asks the leg at b to equal the leg at a after m, the chain's plain
+        map from the space at b to the space at a: the first reader takes
+        the leg at b, the second the leg at a at the points of m, and the
+        characterization holds when both read the same values.  Built once
+        per functor.  A characterization with a square whose domain is not
+        the space at b is None (no legs satisfy it); arrows that do not
+        compose give their ValidationError instead."""
+        offsets = dict(zip(self.objects, accumulate((space.n for space in self.objects.values()), initial=0)))
 
-        def square(a: IdxObj, b: IdxObj, chain: tuple[Generator, ...]) -> Square | None:
+        def square(a: IdxObj, b: IdxObj, path: tuple[Generator, ...]) -> tuple[range, map] | None:
             # starting from the identity at a, which has the domain of every
             # leg at a, raises exactly where composing such a leg would
             m = ft.identity_map(self.objects[a])
-            for g in chain:
+            for g in path:
                 m = ft.compose(m, self.arrows[g])
-            return (index[b], index[a], m.assign) if m.dom == self.objects[b] else None
+            if m.dom != self.objects[b]:
+                return None
+            return range(offsets[b], offsets[b] + m.dom.n), map(offsets[a].__add__, m.assign)
 
         try:
             # the identity squares (a == b) hold for every family of legs
             table = [[square(*sq) for sq in squares] for squares in index_category(self.n).cone_squares]
         except ValidationError as exc:
             return exc
-        return tuple(None if None in sq else tuple(sq) for sq in table)
+        return tuple(
+            None if None in squares else (_reader(chain.from_iterable(lhs for lhs, _ in squares)),
+                                          _reader(chain.from_iterable(rhs for _, rhs in squares)))
+            for squares in table
+        )
+
+
+def _reader(positions) -> Reader:
+    """The values at the given positions, as one C-level call.  For one
+    position itemgetter gives the bare value; so does the other reader of
+    the pair, which reads as many positions."""
+    positions = tuple(positions)
+    return itemgetter(*positions) if positions else lambda values: ()
 
 
 @dataclass
@@ -269,17 +288,16 @@ def is_cone(apex: FinSpace, legs: dict[IdxObj, ContinuousMap], g: TopGluingFunct
     (1) every morphism of the index category commutes with the legs;
     (2) the transition, attaching and triple-inclusion squares commute;
     (3) like (2) with the transition square replaced by its composite form.
-    Their squares come from ``g.cone_squares``, built once per functor.
-    They provably coincide; a disagreement is raised as falsification.
+    Each is two reads of the concatenated leg assignments, compiled once
+    per functor in ``g.cone_squares``, and one comparison.  They provably
+    coincide; a disagreement is raised as falsification.
     """
-    assign = [leg.assign for leg in _legs_match_endpoints(g, apex, legs)]
+    values = tuple(chain.from_iterable(leg.assign for leg in _legs_match_endpoints(g, apex, legs)))
     table = g.cone_squares
     if isinstance(table, ValidationError):
         raise ValidationError(*table.args)
     first, second, third = (
-        squares is not None
-        and all(assign[b] == tuple(map(assign[a].__getitem__, m)) for b, a, m in squares)
-        for squares in table
+        readers is not None and readers[0](values) == readers[1](values) for readers in table
     )
     if not (first == second == third):
         raise FalsificationError(f"cone characterizations disagree: {(first, second, third)}")
@@ -345,32 +363,27 @@ def verify_glued(q: FinSpace, iota: dict[IdxObj, ContinuousMap], g: TopGluingFun
 def mediating_morphism(cone: TopCone, glued: GluedSpace, g: TopGluingFunctor) -> ContinuousMap:
     """The unique comparison map from the glued space to the cone apex.
 
-    It is pointwise forced by the chart legs; a conflict between two chart
-    representations of the same point, or a failure of continuity, would
-    contradict the characterization theorem and raises FalsificationError.
+    It is forced pointwise by the chart legs, read in one pass over the
+    glued positions of the chart points.  A glued point that no chart leg
+    pins raises ValidationError; two representatives of one point that the
+    legs send apart (the map would not commute), or a forced map that is
+    not continuous, raise FalsificationError.  So a map returned is the
+    only point function that commutes with the chart legs.
     """
     q = glued.space
-    assign: list[int | None] = [None] * q.n
     charts = [single(i) for i in range(g.n)]
-    for a in charts:
-        leg = cone.legs[a]
-        chart_iota = glued.iota[a]
-        for x in range(g.objects[a].n):
-            target = leg(x)
-            pos = chart_iota(x)
-            if assign[pos] is None:
-                assign[pos] = target
-            elif assign[pos] != target:
-                raise FalsificationError(
-                    "mediating map ill-defined: chart representatives disagree"
-                )
-    if any(v is None for v in assign):
+    if any(cone.legs[a].dom != glued.iota[a].dom or cone.legs[a].cod != cone.apex for a in charts):
+        raise FalsificationError("mediating map fails to commute: a chart leg has wrong endpoints")
+    positions = tuple(chain.from_iterable(glued.iota[a].assign for a in charts))
+    wanted = tuple(chain.from_iterable(cone.legs[a].assign for a in charts))
+    forced = dict(zip(positions, wanted))
+    if tuple(map(forced.__getitem__, positions)) != wanted:
+        raise FalsificationError("mediating map ill-defined: chart representatives disagree")
+    if len(forced) != q.n:
         raise ValidationError("glued space is not covered by its chart legs")
-    mu = ContinuousMap(q, cone.apex, tuple(assign))
+    mu = ContinuousMap(q, cone.apex, tuple(map(forced.__getitem__, range(q.n))))
     if not ft.is_continuous(mu):
         raise FalsificationError("mediating map is not continuous")
-    if any(ft.compose(mu, glued.iota[a]) != cone.legs[a] for a in charts):
-        raise FalsificationError("mediating map fails to commute")
     return mu
 
 

@@ -12,7 +12,25 @@ CACHES = [
     (il.snf, lambda k: (((k,),),)),
     (ic.generator_path, lambda k: (k + 1, ic.single(0), ic.single(0))),
     (ic.index_category, lambda k: (k + 1,)),
+    (ic.single, lambda k: (k,)),
+    (ic.pair, lambda k: (k, k + 1)),
+    (ic.triple, lambda k: (k, k + 1, k + 2)),
 ]
+
+
+def test_interned_objects_are_shared_and_survive_eviction():
+    """single, pair and triple return one object per key; after the caches
+    drop it, the object built again is equal and hashes alike, so a table
+    keyed by the old one still finds it."""
+    keys = (ic.single(2), ic.pair(2, 0), ic.triple(2, 0, 1))
+    assert keys == (ic.single(2), ic.pair(2, 0), ic.triple(2, 0, 1))
+    assert all(a is b for a, b in zip(keys, (ic.single(2), ic.pair(2, 0), ic.triple(2, 0, 1))))
+    table = dict.fromkeys(keys, "found")
+    for cached in (ic.single, ic.pair, ic.triple):
+        cached.cache_clear()
+    again = (ic.single(2), ic.pair(2, 0), ic.triple(2, 1, 0))
+    assert all(a is not b for a, b in zip(keys, again))
+    assert [table[a] for a in again] == ["found"] * 3
 
 
 def test_caches_stay_within_a_finite_bound():

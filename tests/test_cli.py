@@ -20,6 +20,7 @@ from gluekit import jsonio
 from gluekit import ringedglue as rgl
 from gluekit import sheafglue as sg
 from gluekit import topglue as tg
+from gluekit.errors import ValidationError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -159,6 +160,19 @@ def test_false_verdict_on_valid_data_is_a_falsification(capsys, monkeypatch, nam
     assert err.startswith("FALSIFICATION: ") and out == ""
 
 
+def test_sampled_map_that_is_not_unique_is_a_falsification(capsys, monkeypatch):
+    """On valid data, mediating_morphism refusing a sampled cone with
+    ValidationError means the map is not unique: exit 3, not 2."""
+
+    def unpinned(*args):
+        raise ValidationError("glued space is not covered by its chart legs")
+
+    monkeypatch.setattr(tg, "mediating_morphism", unpinned)
+    code, out, err = run_main(capsys, "verify", fixture("two_origins.json"), "--samples", "3")
+    assert code == 3, err
+    assert err.startswith("FALSIFICATION: sampled mediating morphism is not unique") and out == ""
+
+
 @pytest.mark.parametrize("name, variant, expected", [
     ("two_origins.json", "top", 0),
     ("two_origins.json", "lrts", 2),
@@ -262,6 +276,14 @@ def test_ring_unity_or_zero_out_of_range_names_the_ring(capsys, tmp_path, key):
     code, out, err = run_main(capsys, "verify", str(path))
     assert code == 2
     assert err.startswith(f"error: /rings/r0: {key} 9 out of range for 1 elements"), err
+
+
+@pytest.mark.parametrize("value", [5, ["r0"], {}], ids=["number", "list", "object"])
+def test_section_ring_id_of_any_json_type_names_the_section(capsys, tmp_path, value):
+    path = write_malformed(tmp_path / "bad.json", "two_origins_ringed.json", ("charts", 0, "sections", "0"), value)
+    code, out, err = run_main(capsys, "verify", str(path))
+    assert code == 2
+    assert err == f"error: /charts/0/sections/0: undefined ring id {value!r}\n", err
 
 
 def test_empty_file_is_schema_error(capsys, tmp_path):

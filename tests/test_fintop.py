@@ -520,3 +520,96 @@ def test_lower_covers_are_the_maximal_proper_open_subsets():
             maximal = [c for c in below if not any(c < d for d in below)]
             assert space.lower_covers[u] == tuple(sorted(maximal, key=sorted)), (space, u)
     assert not_t0 >= 100, not_t0
+
+
+# The map kernels as they were written before they ran on map and
+# __getitem__ (and, for the final topology, on int bitmasks), kept as
+# oracles for the C-level versions.
+
+
+def loop_image_of(f, s):
+    return frozenset(f.assign[x] for x in s)
+
+
+def loop_preimage_of(f, s):
+    s = frozenset(s)
+    return frozenset(x for x in range(f.dom.n) if f.assign[x] in s)
+
+
+def loop_is_continuous(f):
+    cod = f.cod.minimal
+    return all(loop_image_of(f, ux) <= cod[f.assign[x]] for x, ux in enumerate(f.dom.minimal))
+
+
+def loop_is_open_map(f):
+    cod = f.cod.minimal
+    images = [loop_image_of(f, ux) for ux in f.dom.minimal]
+    return all(cod[y] <= image for image in images for y in image)
+
+
+def loop_compose(f, g):
+    if g.cod != f.dom:
+        raise ValidationError("compose: endpoint mismatch")
+    return ft.ContinuousMap(g.dom, f.cod, tuple(f.assign[g.assign[x]] for x in range(g.dom.n)))
+
+
+def loop_final_topology(n, maps):
+    succ = [set() for _ in range(n)]
+    for dom, assign in maps:
+        for x, ux in enumerate(dom.minimal):
+            succ[assign[x]].update(assign[y] for y in ux)
+    minimal = []
+    for z in range(n):
+        seen = {z}
+        stack = [z]
+        while stack:
+            for w in succ[stack.pop()] - seen:
+                seen.add(w)
+                stack.append(w)
+        minimal.append(frozenset(seen))
+    return ft.FinSpace(n, tuple(minimal))
+
+
+def random_map(rng, dom, cod):
+    """Random assignment (mostly not continuous), a constant map, or a
+    quotient projection followed by a random assignment that is continuous
+    when the quotient is coarse enough."""
+    style = rng.randrange(3)
+    if style == 0 or cod.n == 0 or dom.n == 0:
+        return ft.ContinuousMap(dom, cod, tuple(rng.randrange(cod.n) for _ in range(dom.n)))
+    if style == 1:
+        return ft.ContinuousMap(dom, cod, (rng.randrange(cod.n),) * dom.n)
+    pairs = [(rng.randrange(dom.n), rng.randrange(dom.n)) for _ in range(rng.randint(0, 2 * dom.n))]
+    q, proj = ft.quotient_final(dom, pairs)
+    return ft.compose(ft.ContinuousMap(q, cod, tuple(rng.randrange(cod.n) for _ in range(q.n))), proj)
+
+
+def test_map_kernels_match_their_loop_oracles():
+    rng = random.Random(109)
+    seen = {"continuous": 0, "not continuous": 0, "open": 0, "not T0": 0, "composed": 0, "mismatch": 0}
+    for _ in range(INSTANCES):
+        dom, mid, cod = (gen.random_space(rng, max_points=5) for _ in range(3))
+        f = random_map(rng, dom, mid)
+        g = random_map(rng, mid, cod)
+        for h in (f, g):
+            s = random_subset(rng, h.dom.n)
+            t = random_subset(rng, h.cod.n)
+            assert h.image_of(s) == loop_image_of(h, s)
+            assert h.preimage_of(t) == loop_preimage_of(h, t)
+            assert ft.is_continuous(h) == loop_is_continuous(h)
+            assert ft.is_open_map(h) == loop_is_open_map(h)
+            seen["continuous" if ft.is_continuous(h) else "not continuous"] += 1
+            seen["open"] += ft.is_open_map(h)
+        seen["not T0"] += len(set(dom.minimal)) < dom.n
+        assert ft.compose(g, f) == loop_compose(g, f)
+        seen["composed"] += 1
+        # f after g needs g's codomain to be f's domain
+        if cod != dom:
+            for kernel in (ft.compose, loop_compose):
+                with pytest.raises(ValidationError, match="endpoint mismatch"):
+                    kernel(f, g)
+            seen["mismatch"] += 1
+        # the final topology on the codomain's points for one to three maps
+        maps = [(h.dom, h.assign) for h in (g, ft.compose(g, f), random_map(rng, dom, cod))[: rng.randint(1, 3)]]
+        assert ft.final_topology(cod.n, maps) == loop_final_topology(cod.n, maps)
+    assert min(seen.values()) >= 100, seen

@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from gluekit import cli
 from gluekit import fintop as ft
 from gluekit import generators as gen
 from gluekit import topglue as tg
@@ -194,6 +195,28 @@ def reference_is_cone(apex, legs, g):
     return first, second, third
 
 
+def per_square_is_cone(apex, legs, g):
+    """is_cone as it was before each characterization became two reads of
+    the concatenated legs: every square (a, b, chain) of the index table
+    composed from the identity at a, and compared as one tuple."""
+    assign = {a: leg.assign for a, leg in zip(g.objects, tg._legs_match_endpoints(g, apex, legs))}
+
+    def square(a, b, chain):
+        m = ft.identity_map(g.objects[a])
+        for arrow in chain:
+            m = ft.compose(m, g.arrows[arrow])
+        return (a, b, m.assign) if m.dom == g.objects[b] else None
+
+    table = [[square(*sq) for sq in squares] for squares in index_category(g.n).cone_squares]
+    first, second, third = (
+        None not in squares and all(assign[b] == tuple(map(assign[a].__getitem__, m)) for a, b, m in squares)
+        for squares in table
+    )
+    if not (first == second == third):
+        raise FalsificationError(f"cone characterizations disagree: {(first, second, third)}")
+    return first, second, third
+
+
 def cone_outcome(check, apex, legs, g):
     try:
         return check(apex, legs, g)
@@ -214,9 +237,13 @@ def with_foreign_domain(g, gen_key):
 
 
 def test_is_cone_matches_reference_on_seeded_cones():
+    """Against the morphism-by-morphism reference and the per-square loop,
+    on cones, on corrupt_cone_legs cones (not cones), on legs of another
+    functor and on functors whose arrows start at foreign spaces."""
     rng = random.Random(41)
     compared = 0
     outcomes = collections.Counter()
+    oracles = (reference_is_cone, per_square_is_cone)
     while compared < 1000:
         g = gen.random_top_functor(rng)
         rep = tg.standard_representative(g)
@@ -224,26 +251,30 @@ def test_is_cone_matches_reference_on_seeded_cones():
             cone = gen.random_cone(rng, g, rep)
             bad = gen.corrupt_cone_legs(rng, g, cone)
             for c in (cone, bad):
-                assert tg.is_cone(c.apex, c.legs, g) == reference_is_cone(c.apex, c.legs, g)
+                verdicts = tg.is_cone(c.apex, c.legs, g)
+                assert all(verdicts == oracle(c.apex, c.legs, g) for oracle in oracles)
+                outcomes["legs", verdicts[0]] += 1
                 compared += 1
         # legs whose endpoints belong to another functor
         other = gen.random_top_functor(rng)
         other_cone = gen.random_cone(rng, other, tg.standard_representative(other))
         if other.n >= g.n and any(other.objects[a] != g.objects[a] for a in g.objects):
-            for check in (tg.is_cone, reference_is_cone):
+            for check in (tg.is_cone, *oracles):
                 with pytest.raises(ValidationError, match="wrong endpoints"):
                     check(other_cone.apex, other_cone.legs, g)
         # arrows whose domains are not their objects: where they still
         # compose, no legs satisfy the squares through them; where they do
-        # not, both raise, on every call
+        # not, all raise, on every call
         for gen_key in g.arrows:
             if g.arrows[gen_key].dom.n >= 2:
                 broken = with_foreign_domain(g, gen_key)
                 expected = cone_outcome(reference_is_cone, cone.apex, cone.legs, broken)
                 outcomes[expected[0]] += 1
+                assert cone_outcome(per_square_is_cone, cone.apex, cone.legs, broken) == expected
                 for _ in range(2):
                     assert cone_outcome(tg.is_cone, cone.apex, cone.legs, broken) == expected
-    assert outcomes[False] and outcomes["ValidationError"]
+    assert outcomes["legs", True] >= 500 and outcomes["legs", False] >= 100, outcomes
+    assert outcomes[False] and outcomes["ValidationError"], outcomes
 
 
 def test_verify_glued_indiscrete_candidate():
@@ -409,6 +440,39 @@ def test_count_matches_reference_on_seeded_cones():
                 assert tg.count_mediating_functions(bad, rep, g, exhaustive_limit=0) == 0
                 disagreeing += 1
     assert disagreeing >= 100
+
+
+def sample_accepts(g, rep, cone):
+    """Whether the per-cone check of ``glue verify``'s sample passes."""
+    try:
+        cli._top_check_cone(g, rep, cone)
+    except FalsificationError:
+        return False
+    return True
+
+
+def test_sample_accepts_a_cone_exactly_when_one_map_mediates():
+    """The sample decides uniqueness from the forced map alone; the brute
+    count of mediating functions is the oracle.  Corrupted non-chart legs
+    leave the count at 1, and two chart legs sent apart make it 0."""
+    rng = random.Random(47)
+    outcomes = collections.Counter()
+    while sum(outcomes.values()) < 1000:
+        g = gen.random_top_functor(rng, max_points=4)
+        rep = tg.standard_representative(g)
+        for _ in range(5):
+            cone = gen.random_cone(rng, g, rep)
+            if cone.apex.n ** rep.space.n > 4000:
+                continue
+            disagreeing = with_disagreeing_chart(rng, cone, rep, g)
+            for kind, c in (("cone", cone), ("corrupt", gen.corrupt_cone_legs(rng, g, cone)),
+                            ("disagreeing", disagreeing)):
+                if c is None:
+                    continue
+                accepted = sample_accepts(g, rep, c)
+                assert accepted == (reference_count(c, rep, g) == 1) == (kind != "disagreeing"), kind
+                outcomes[kind] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_overlap_and_triple_image_laws_on_random_instances():
