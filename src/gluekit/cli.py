@@ -311,8 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call and kept: argparse's formatters and sections
+# form reference cycles, so one parser per call leaves garbage that only the
+# cyclic collector frees; not an lru_cache, which cache sweeps would empty
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (UnsupportedFeature, ValidationError, OSError) as exc:

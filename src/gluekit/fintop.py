@@ -129,31 +129,22 @@ def minimal_cover(space: FinSpace, v: Open) -> tuple[Open, ...]:
 
 def components_of_open(space: FinSpace, v: Open) -> list[frozenset[int]]:
     """Connected components of an open subspace, via the adjacency x~y iff
-    one lies in the minimal open of the other."""
+    one lies in the minimal open of the other, ordered by their least
+    points: each point's minimal open within v joins the components it
+    meets."""
     v = frozenset(v)
-    adj = {x: set() for x in v}
+    comps: list[frozenset[int]] = []
     for x in v:
-        for y in minimal_open(space, x):
-            if y in v and y != x:
-                adj[x].add(y)
-                adj[y].add(x)
-    seen: set[int] = set()
-    comps = []
-    for x in sorted(v):
-        if x in seen:
-            continue
-        comp = {x}
-        stack = [x]
-        seen.add(x)
-        while stack:
-            cur = stack.pop()
-            for y in adj[cur]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
-    return comps
+        joined = v & space.minimal[x]
+        rest = []
+        for c in comps:
+            if c.isdisjoint(joined):
+                rest.append(c)
+            else:
+                joined |= c
+        rest.append(joined)
+        comps = rest
+    return sorted(comps, key=min)
 
 
 @dataclass(frozen=True)

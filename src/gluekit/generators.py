@@ -9,12 +9,16 @@ instance in a way that is guaranteed to break a checked law.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import permutations
+from itertools import product as iproduct
 
 from . import abgroups as ab
 from . import fintop as ft
 from . import intlinalg as il
 from . import presheaves as ps
+from . import ringedglue as rgl
+from . import rings as rgs
 from . import topglue as tg
 from .fintop import ContinuousMap, FinSpace
 from .indexcat import EtaT, Tau, TauT, pair
@@ -185,26 +189,43 @@ def random_hom(rng: random.Random, dom: ab.FgAbGroup, cod: ab.FgAbGroup, tries: 
     return ab.zero_hom(dom, cod)
 
 
-def natural_automorphism(rng: random.Random, f: ps.Presheaf, base_group: ab.FgAbGroup) -> ps.EnrichedMorphism:
-    """Natural automorphism of a locally constant presheaf: one unimodular
-    twist per component of the domain, routed to every smaller open."""
-    domain_comps = ft.components_of_open(f.space, f.domain)
+def _draw_twists(rng: random.Random, f: ps.Presheaf, base_group: ab.FgAbGroup) -> list[ab.AbHom]:
+    """One random unimodular automorphism of the base group per component
+    of the presheaf's domain, in component order."""
     g_amb = base_group.ambient
-    twists = [ab.AbHom(base_group, base_group, random_unimodular(rng, g_amb) if g_amb else ()) for _ in domain_comps]
+    return [
+        ab.AbHom(base_group, base_group, random_unimodular(rng, g_amb) if g_amb else ())
+        for _ in ft.components_of_open(f.space, f.domain)
+    ]
+
+
+def componentwise_morphism(f: ps.Presheaf, base_group: ab.FgAbGroup, twists) -> ps.EnrichedMorphism:
+    """The endomorphism of a locally constant presheaf that acts on the
+    factor of each component by ``twists[k]``, k the component of the
+    domain holding it."""
+    domain_comps = ft.components_of_open(f.space, f.domain)
     components = {}
     for o in f.opens():
         comps = ft.components_of_open(f.space, o)
         blocks = [
             ab.compose_hom(next(t for c, t in zip(domain_comps, twists) if comp <= c), proj)
-            for comp, proj in zip(comps, ab.projections([base_group] * len(comps)))
+            for comp, proj in zip(comps, ps.power_projections(base_group, len(comps)))
         ]
         components[o] = ab.pairing(f.group(o), f.group(o), blocks)
     return ps.EnrichedMorphism(f, f, components)
 
 
+def natural_automorphism(rng: random.Random, f: ps.Presheaf, base_group: ab.FgAbGroup) -> ps.EnrichedMorphism:
+    """Natural automorphism of a locally constant presheaf: one unimodular
+    twist per component of the domain, routed to every smaller open."""
+    return componentwise_morphism(f, base_group, _draw_twists(rng, f, base_group))
+
+
 def random_sheaf_data(rng: random.Random, max_points: int = 4, max_charts: int = 3, max_rank: int = 1):
     """Sheaf gluing input over a random cover: twisted restrictions of one
-    locally constant sheaf, so the cocycle law holds by construction.
+    locally constant sheaf, so the cocycle law holds by construction.  Each
+    twist is inverted once per domain component, and the inverse routed
+    like the twist.
 
     Returns (base, cover, sheaves, transitions, base_group).
     """
@@ -217,8 +238,9 @@ def random_sheaf_data(rng: random.Random, max_points: int = 4, max_charts: int =
     inverses = []
     for c in cover:
         restricted = ps.restrict_presheaf(global_sheaf, c)
-        theta = natural_automorphism(rng, restricted, base_group)
-        inverse = {o: ab.inverse_hom(h) for o, h in theta.alpha.items()}
+        drawn = _draw_twists(rng, restricted, base_group)
+        theta = componentwise_morphism(restricted, base_group, drawn)
+        inverse = componentwise_morphism(restricted, base_group, [ab.inverse_hom(t) for t in drawn]).alpha
         twisted = ps.Presheaf(
             space,
             c,
@@ -245,91 +267,82 @@ def random_sheaf_data(rng: random.Random, max_points: int = 4, max_charts: int =
     return space, cover, tuple(charts), transitions, base_group
 
 
-def locally_constant_ringed(space, base_ring):
+@lru_cache(maxsize=64)
+def power_ring(base_ring: rgs.FinCommRing, k: int) -> tuple[rgs.FinCommRing, tuple[tuple[int, ...], ...]]:
+    """``rings.product_ring([base_ring] * k)``: k copies of the base ring,
+    with the projections, as tuples since every caller shares them."""
+    ring, projections = rgs.product_ring([base_ring] * k)
+    return ring, tuple(map(tuple, projections))
+
+
+@lru_cache(maxsize=256)
+def component_restriction(base_ring: rgs.FinCommRing, k_u: int, parents: tuple[int, ...]) -> rgs.RingHom:
+    """The restriction of a locally constant ring sheaf from an open with
+    ``k_u`` components to a smaller open whose components lie in components
+    ``parents`` of the larger: the hom from k_u copies of the base ring to
+    ``len(parents)`` copies that reads factor ``parents[m]`` into factor m."""
+    ring_u, proj_u = power_ring(base_ring, k_u)
+    ring_v, _ = power_ring(base_ring, len(parents))
+    tuples_v = iproduct(*(base_ring.elements() for _ in parents))
+    index_v = {t: a for a, t in enumerate(tuples_v)}
+    assign = [index_v[tuple(proj_u[p][e] for p in parents)] for e in ring_u.elements()]
+    return rgs.RingHom(ring_u, ring_v, tuple(assign))
+
+
+def locally_constant_ringed(space: FinSpace, base_ring: rgs.FinCommRing) -> rgl.RingedSpace:
     """Ring-valued analog of the locally constant sheaf: one copy of the
     base ring per connected component of each open."""
-    from itertools import product as _iproduct
+    comps = {o: ft.components_of_open(space, o) for o in space.sorted_opens}
+    return _locally_constant_ringed(space, comps, base_ring)
 
-    from . import rings as rgs
-    from . import ringedglue as rgl
 
+def _locally_constant_ringed(space: FinSpace, comps, base_ring: rgs.FinCommRing) -> rgl.RingedSpace:
+    """``locally_constant_ringed`` with the components of each open given."""
     opens = space.sorted_opens
-    comps = {o: ft.components_of_open(space, o) for o in opens}
-    ring_cache: dict[int, tuple] = {}
-
-    def ring_for(k: int):
-        if k not in ring_cache:
-            ring_cache[k] = rgs.product_ring([base_ring] * k)
-        return ring_cache[k]
-
-    sections = {o: ring_for(len(comps[o]))[0] for o in opens}
+    sections = {o: power_ring(base_ring, len(comps[o]))[0] for o in opens}
     restr = {}
     for u in opens:
+        holder = {p: k for k, cu in enumerate(comps[u]) for p in cu}  # point -> its component of u
         for v in opens:
-            if not v <= u:
-                continue
-            ring_u, proj_u = ring_for(len(comps[u]))
-            ring_v, _ = ring_for(len(comps[v]))
-            parents = [
-                next(k for k, cu in enumerate(comps[u]) if cv <= cu) for cv in comps[v]
-            ]
-            tuples_v = list(_iproduct(*(base_ring.elements() for _ in comps[v])))
-            index_v = {t: a for a, t in enumerate(tuples_v)}
-            assign = [
-                index_v[tuple(proj_u[p][e] for p in parents)] for e in ring_u.elements()
-            ]
-            restr[(u, v)] = rgs.RingHom(ring_u, ring_v, tuple(assign))
+            if v <= u:
+                parents = tuple(holder[min(cv)] for cv in comps[v])
+                restr[(u, v)] = component_restriction(base_ring, len(comps[u]), parents)
     return rgl.RingedSpace(space, sections, restr)
 
 
 def random_ringed_functor(rng: random.Random, variant: str = "lrts", max_points: int = 4, max_charts: int = 3):
     """Valid chart-form ringed gluing input: restrictions of one locally
-    constant structure sheaf, relabeled chart by chart."""
-    from . import rings as rgs
-    from . import ringedglue as rgl
-
+    constant structure sheaf, relabeled chart by chart.  The components of
+    the opens are found once per draw, and the sheaf's rings and
+    restrictions come from the power-ring caches."""
     base_ring = rgs.zmod(rng.choice([2, 3, 4] if variant == "lrts" else [2, 4, 6]))
     while True:
         space = random_space(rng, max_points, max_opens=20)
-        if all(
-            len(ft.components_of_open(space, o)) <= 2 for o in space.opens
-        ):
+        comps = {o: ft.components_of_open(space, o) for o in space.sorted_opens}
+        if all(len(c) <= 2 for c in comps.values()):
             break
     cover = random_open_cover(rng, space, max_charts)
-    global_ringed = locally_constant_ringed(space, base_ring)
+    sheaf = _locally_constant_ringed(space, comps, base_ring)
     charts = []
-    amb = []  # chart point -> base point
+    position = []  # per chart: base point -> chart point
+    local = []  # per chart: open of the space below the member -> open of the chart
     for c in cover:
-        restricted, pts = rgl.restrict_ringed(global_ringed, c)
-        top, back = relabeled_copy(rng, restricted.top)
-        relabel = back.preimage_of  # a set of old labels, in the copy's labels
-        sections = {relabel(o): restricted.ring(o) for o in restricted.top.opens}
-        restr = {
-            (relabel(u), relabel(v)): h for (u, v), h in restricted.restr.items()
-        }
+        pts = sorted(c)
+        top, back = relabeled_copy(rng, ft.subspace(space, pts))
+        to_chart = {pts[old]: new for new, old in enumerate(back.assign)}
+        opens = {o: frozenset(map(to_chart.__getitem__, o)) for o in space.sorted_opens if o <= c}
+        sections = {opens[o]: sheaf.sections[o] for o in opens}
+        restr = {(opens[u], opens[v]): h for (u, v), h in sheaf.restr.items() if u <= c}
         charts.append(rgl.RingedSpace(top, sections, restr))
-        amb.append([pts[old] for old in back.assign])
-    n = len(cover)
+        position.append(to_chart)
+        local.append(opens)
     overlaps = {}
     trans_top = {}
     transports = {}
-    for i in range(n):
-        back_i = {p: k for k, p in enumerate(amb[i])}
-        for j in range(n):
-            if i == j:
-                continue
-            inter = cover[i] & cover[j]
-            overlaps[(i, j)] = frozenset(back_i[p] for p in inter)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            back_j = {p: k for k, p in enumerate(amb[j])}
-            trans_top[(i, j)] = {
-                p: back_j[amb[i][p]] for p in overlaps[(i, j)]
-            }
-            comp = {}
-            for w in ps.opens_below(charts[i].top, overlaps[(i, j)]):
-                comp[w] = rgs.identity_ring_hom(charts[i].ring(w))
-            transports[(i, j)] = comp
+    for i, j in permutations(range(len(cover)), 2):
+        inter = cover[i] & cover[j]
+        overlaps[(i, j)] = local[i][inter]
+        trans_top[(i, j)] = {position[i][p]: position[j][p] for p in inter}
+        # the sheaf's identity restrictions are the identity transports
+        transports[(i, j)] = {local[i][o]: sheaf.restr[(o, o)] for o in local[i] if o <= inter}
     return rgl.RingedGluingFunctor(variant, tuple(charts), overlaps, trans_top, transports)

@@ -277,6 +277,16 @@ def _parse_sheaf(doc) -> sg.SheafGluingData:
     return data
 
 
+def _restriction_entries(restrictions: dict, entry) -> dict:
+    """A restriction table as ``"U>V"`` entries, ordered by the two open
+    keys, with each open's key formatted once."""
+    keys = {o: open_key(o) for pair in restrictions for o in pair}
+    return {
+        f"{keys[u]}>{keys[v]}": entry(h)
+        for (u, v), h in sorted(restrictions.items(), key=lambda kv: (keys[kv[0][0]], keys[kv[0][1]]))
+    }
+
+
 def sheaf_data_to_document(data: sg.SheafGluingData) -> dict:
     doc = {
         "kind": "sheaf",
@@ -286,12 +296,10 @@ def sheaf_data_to_document(data: sg.SheafGluingData) -> dict:
         "transitions": {},
     }
     for f in data.sheaves:
-        sh_doc = {"sections": {}, "restrictions": {}}
-        for o in f.opens():
-            sh_doc["sections"][open_key(o)] = ab.group_to_json(f.group(o))
-        for (u, v), h in sorted(f.restrictions.items(), key=lambda kv: (open_key(kv[0][0]), open_key(kv[0][1]))):
-            sh_doc["restrictions"][f"{open_key(u)}>{open_key(v)}"] = [list(r) for r in h.matrix]
-        doc["sheaves"].append(sh_doc)
+        doc["sheaves"].append({
+            "sections": {open_key(o): ab.group_to_json(f.group(o)) for o in f.opens()},
+            "restrictions": _restriction_entries(f.restrictions, lambda h: [list(r) for r in h.matrix]),
+        })
     for (i, j), iso in sorted(data.transitions.items()):
         doc["transitions"][f"{i},{j}"] = {
             open_key(o): [list(r) for r in h.matrix] for o, h in sorted(iso.alpha.items(), key=lambda kv: open_key(kv[0]))
@@ -369,12 +377,11 @@ def ringed_functor_to_document(g: rgl.RingedGluingFunctor) -> dict:
     doc = {"kind": "ringed", "variant": g.variant, "rings": rings, "charts": [],
            "overlaps": {}, "transitions": {}}
     for chart in g.charts:
-        ch = {"space": ft.space_to_json(chart.top), "sections": {}, "restrictions": {}}
-        for o in chart.top.sorted_opens:
-            ch["sections"][open_key(o)] = rid(chart.ring(o))
-        for (u, v), h in sorted(chart.restr.items(), key=lambda kv: (open_key(kv[0][0]), open_key(kv[0][1]))):
-            ch["restrictions"][f"{open_key(u)}>{open_key(v)}"] = list(h.assign)
-        doc["charts"].append(ch)
+        doc["charts"].append({
+            "space": ft.space_to_json(chart.top),
+            "sections": {open_key(o): rid(chart.ring(o)) for o in chart.top.sorted_opens},
+            "restrictions": _restriction_entries(chart.restr, lambda h: list(h.assign)),
+        })
     for (i, j), o in sorted(g.overlaps.items()):
         doc["overlaps"][f"{i},{j}"] = sorted(o)
     for (i, j), tmap in sorted(g.trans_top.items()):

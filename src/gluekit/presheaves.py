@@ -19,7 +19,7 @@ Convention: sections over the empty set form the trivial group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import abgroups as ab
@@ -205,15 +205,24 @@ def is_sheaf(f: Presheaf) -> tuple[bool, dict | None]:
     return True, None
 
 
+@lru_cache(maxsize=64)
+def power_projections(group: ab.FgAbGroup, k: int) -> tuple[ab.AbHom, ...]:
+    """The projections of k copies of the group onto each copy, shared by
+    the locally constant sheaves on that group and their automorphisms."""
+    return tuple(ab.projections([group] * k))
+
+
 def locally_constant_sheaf(space: FinSpace, domain, group: ab.FgAbGroup) -> Presheaf:
     """Sections over V are one copy of the group per connected component."""
     domain = frozenset(domain)
     opens = opens_below(space, domain)
     comps = {o: components_of_open(space, o) for o in opens}
-    sections = {o: ab.product_group([group] * len(comps[o])) for o in opens}
+    # the sections depend only on the component count
+    powers = {k: ab.product_group([group] * k) for k in {len(c) for c in comps.values()}}
+    sections = {o: powers[len(comps[o])] for o in opens}
     restrictions = {}
     for u in opens:
-        projs = ab.projections([group] * len(comps[u]))
+        projs = power_projections(group, len(comps[u]))
         for v in opens:
             if v <= u:
                 # each component of v lies in one component of u

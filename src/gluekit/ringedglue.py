@@ -14,13 +14,14 @@ ringed spaces: ``RingedGluingFunctor.obj`` restricts a chart to an overlap
 or a triple zone, and ``gen_image`` gives each generator's image as a
 ``RingedSpaceMorphism`` (restrictions, and the stored transports).  The
 transition inverse and cocycle laws are checked only as the index
-category's generator relations on those images; forgetting the sheaf
-parts gives the topological gluing functor.  The glued object pairs the
-topological standard representative with the compatible-family structure
-sheaf; its legs into the charts are ringed-space morphisms, and the cone
-check composes them with the generator images.  The variant is rts or lrts
-(documents that ask for schemes are refused by the parser), and each
-functor is validated once.  The executed stalk laws are falsification
+category's generator relations on those images.  The images are built on
+the functor's plain side, the zones as subspaces and the plain maps, which
+alone is the topological gluing functor (``induced_top_functor``).  The
+glued object pairs the topological standard representative with the
+compatible-family structure sheaf; its legs into the charts are
+ringed-space morphisms, and the cone check composes them with the
+generator images.  The variant is rts or lrts (documents that ask for
+schemes are refused by the parser), and each functor is validated once.  The executed stalk laws are falsification
 checks, not input validation.  Both the gluing axiom and the glued sections
 enumerate compatible families with one join (``compatible_families``),
 whose work follows the families kept.
@@ -133,27 +134,17 @@ def ring_sheaf_failures(space: RingedSpace) -> list[str]:
     return []
 
 
-def restrict_ringed(space: RingedSpace, v) -> tuple[RingedSpace, list[int]]:
-    """Ringed subspace on an open, with the local-to-ambient point list."""
-    v = frozenset(v)
-    if v not in space.top.opens:
-        raise ValidationError("can only restrict to an open")
-    pts = sorted(v)
-    sub = ft.subspace(space.top, pts)
-    to_ambient = {k: p for k, p in enumerate(pts)}
-    sections = {}
-    restr = {}
-    local_opens = sub.sorted_opens
-    ambient_of = {
-        o: frozenset(to_ambient[k] for k in o) for o in local_opens
+def ringed_subspace(space: RingedSpace, sub: FinSpace, pts) -> RingedSpace:
+    """The ringed structure of ``space`` on the subspace ``sub`` of one of
+    its opens, whose point k is the space's point ``pts[k]``, numbered as
+    ``fintop.subspace`` numbers them."""
+    ambient_of = {o: frozenset(pts[k] for k in o) for o in sub.sorted_opens}
+    sections = {o: space.ring(a) for o, a in ambient_of.items()}
+    restr = {
+        (u, w): space.res(ambient_of[u], ambient_of[w])
+        for u in sub.sorted_opens for w in sub.sorted_opens if w <= u
     }
-    for o in local_opens:
-        sections[o] = space.ring(ambient_of[o])
-    for u in local_opens:
-        for w in local_opens:
-            if w <= u:
-                restr[(u, w)] = space.res(ambient_of[u], ambient_of[w])
-    return RingedSpace(sub, sections, restr), pts
+    return RingedSpace(sub, sections, restr)
 
 
 @dataclass
@@ -177,13 +168,13 @@ def identity_rsm(space: RingedSpace) -> RingedSpaceMorphism:
     )
 
 
-def restriction_rsm(space: RingedSpace, sub: RingedSpace, pts) -> RingedSpaceMorphism:
+def restriction_rsm(space: RingedSpace, sub: RingedSpace, inclusion: ContinuousMap) -> RingedSpaceMorphism:
     """The canonical morphism from a ringed space to its restriction ``sub``
-    to an open, whose point k is the space's point ``pts[k]``, as
-    ``restrict_ringed`` returns them."""
-    v = frozenset(pts)
+    to an open, along the ``inclusion`` of ``sub``'s points into the
+    space's, as ``ringed_subspace`` numbers them."""
+    v = frozenset(inclusion.assign)
     sheaf = {u: space.res(u, u & v) for u in space.top.sorted_opens}
-    return RingedSpaceMorphism(space, sub, ContinuousMap(sub.top, space.top, tuple(pts)), sheaf)
+    return RingedSpaceMorphism(space, sub, inclusion, sheaf)
 
 
 def compose_rsm(m2: RingedSpaceMorphism, m1: RingedSpaceMorphism) -> RingedSpaceMorphism:
@@ -256,8 +247,9 @@ class RingedGluingFunctor:
     its points to points of the mirror overlap in chart j; and
     ``transports[(i, j)][W]`` carries sections of chart i over any open W
     below the overlap to sections of chart j over the image open.  The
-    images of objects and generators, and the validation, are built once per
-    functor, on first use, so the chart data is not changed afterwards.
+    plain side (``plain``), the images of objects and generators on top of
+    it, and the validation are built once per functor, on first use, so the
+    chart data is not changed afterwards.
     """
 
     variant: str
@@ -267,7 +259,7 @@ class RingedGluingFunctor:
     transports: dict[tuple[int, int], dict[Open, rg.RingHom]]
 
     def __post_init__(self):
-        self._objects: dict[IdxObj, tuple[RingedSpace, list[int]]] = {}
+        self._objects: dict[IdxObj, RingedSpace] = {}
         self._images: dict[Generator, RingedSpaceMorphism] = {}
 
     @property
@@ -289,34 +281,54 @@ class RingedGluingFunctor:
             return rg.identity_ring_hom(self.charts[i].ring(w))
         return self.transports[(i, j)][w]
 
-    def _restricted(self, a: IdxObj) -> tuple[RingedSpace, list[int]]:
-        """Chart ``a.apex`` restricted to the object's zone (the whole chart,
-        an overlap, or a triple zone), with the chart point of each point."""
-        if a not in self._objects:
-            chart = self.charts[a.apex]
+    @cached_property
+    def plain(self) -> tuple[dict[IdxObj, list[int]], tg.TopGluingFunctor]:
+        """The plain side, built once from the overlaps and the transitions
+        alone: each object's zone in chart ``a.apex`` as its sorted points
+        (the whole chart, an overlap, or a triple zone), and the
+        topological functor of the zones as subspaces and of the plain
+        maps of the generators' images."""
+        table = index_category(self.n)
+        zones: dict[IdxObj, list[int]] = {}
+        spaces: dict[IdxObj, FinSpace] = {}
+        local: dict[IdxObj, dict[int, int]] = {}  # chart point -> zone point
+        for a in table.objects:
+            top = self.charts[a.apex].top
             if a.kind == "single":
-                self._objects[a] = chart, list(range(chart.top.n))
+                zones[a], spaces[a] = list(range(top.n)), top
             else:
-                zone = frozenset.intersection(*(self.overlaps[(a.apex, j)] for j in a.rest))
-                self._objects[a] = restrict_ringed(chart, zone)
-        return self._objects[a]
+                zones[a] = sorted(frozenset.intersection(*(self.overlaps[(a.apex, j)] for j in a.rest)))
+                spaces[a] = ft.subspace(top, zones[a])
+            local[a] = {p: k for k, p in enumerate(zones[a])}
+        maps: dict[Generator, ContinuousMap] = {}
+        for g in table.generators:
+            dom, cod = g.dom, g.cod
+            there = zones[cod]
+            if not isinstance(g, (Eta, EtaT)):
+                there = map(self.trans_top[(g.i, g.j)].__getitem__, there)
+            maps[g] = ContinuousMap(spaces[cod], spaces[dom], tuple(map(local[dom].__getitem__, there)))
+        return zones, tg.TopGluingFunctor(self.n, True, spaces, maps)
 
     def obj(self, a: IdxObj) -> RingedSpace:
-        return self._restricted(a)[0]
+        """Chart ``a.apex`` restricted to the object's zone."""
+        if a not in self._objects:
+            zones, plain = self.plain
+            chart = self.charts[a.apex]
+            self._objects[a] = chart if a.kind == "single" else ringed_subspace(chart, plain.objects[a], zones[a])
+        return self._objects[a]
 
     def gen_image(self, g: Generator) -> RingedSpaceMorphism:
-        """``Eta`` and ``EtaT`` give restrictions; ``Tau(i, j)`` and
-        ``TauT(i, j, k)`` give the transition from chart j to chart i, whose
-        sheaf part is the stored transport (j, i), keyed by local opens."""
+        """The generator's plain map with a sheaf part: ``Eta`` and ``EtaT``
+        give restrictions; ``Tau(i, j)`` and ``TauT(i, j, k)`` give the
+        transition from chart j to chart i, whose sheaf part is the stored
+        transport (j, i), keyed by local opens."""
         if g not in self._images:
-            (dom, pts), (cod, there) = self._restricted(g.dom), self._restricted(g.cod)
-            local = {p: k for k, p in enumerate(pts)}
+            zones, plain = self.plain
+            dom, cod, top = self.obj(g.dom), self.obj(g.cod), plain.arrows[g]
             if isinstance(g, (Eta, EtaT)):
-                image = restriction_rsm(dom, cod, [local[p] for p in there])
+                image = restriction_rsm(dom, cod, top)
             else:
-                t = self.trans_top[(g.i, g.j)]
-                top = ContinuousMap(cod.top, dom.top, tuple(local[t[p]] for p in there))
-                stored = self.transports[(g.j, g.i)]
+                pts, stored = zones[g.dom], self.transports[(g.j, g.i)]
                 sheaf = {u: stored[frozenset(pts[x] for x in u)] for u in dom.top.sorted_opens}
                 image = RingedSpaceMorphism(dom, cod, top, sheaf)
             self._images[g] = image
@@ -407,15 +419,11 @@ def _validate(g: RingedGluingFunctor) -> tuple[dict, tg.TopGluingFunctor | None]
 
 
 def induced_top_functor(g: RingedGluingFunctor) -> tg.TopGluingFunctor:
-    """Forget the sheaves: the spaces of the objects' images and the plain
-    maps of the generators' images.  On data that ``validate_ringed_functor``
-    accepts it is a valid topological gluing functor: the generator
-    relations hold for the plain maps too, and every transition is open
-    both ways."""
-    table = index_category(g.n)
-    return tg.TopGluingFunctor(
-        g.n, True, {a: g.obj(a).top for a in table.objects}, {x: g.gen_image(x).top for x in table.generators},
-    )
+    """Forget the sheaves: the functor's plain side, which builds no ring
+    restrictions.  On data that ``validate_ringed_functor`` accepts it is a
+    valid topological gluing functor: the generator relations hold for the
+    plain maps too, and every transition is open both ways."""
+    return g.plain[1]
 
 
 @dataclass

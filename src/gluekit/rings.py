@@ -23,7 +23,7 @@ O(q·|G|), with |G| ≤ log₂ q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
 from .errors import ValidationError
@@ -135,6 +135,7 @@ def make_ring(add, mul, one: int, zero: int | None = None) -> FinCommRing:
     return ring
 
 
+@lru_cache(maxsize=16)
 def zmod(n: int) -> FinCommRing:
     if n < 1:
         raise ValidationError("modulus must be positive")

@@ -4,8 +4,12 @@ Each cache is an ``lru_cache`` with a fixed finite ``maxsize``; feeding it
 more distinct arguments than that evicts instead of growing.
 """
 
+from gluekit import abgroups as ab
+from gluekit import generators as gen
 from gluekit import indexcat as ic
 from gluekit import intlinalg as il
+from gluekit import presheaves as ps
+from gluekit import rings as rg
 
 # cached function, and the k-th of its distinct argument tuples
 CACHES = [
@@ -15,6 +19,10 @@ CACHES = [
     (ic.single, lambda k: (k,)),
     (ic.pair, lambda k: (k, k + 1)),
     (ic.triple, lambda k: (k, k + 1, k + 2)),
+    (rg.zmod, lambda k: (k + 1,)),
+    (gen.power_ring, lambda k: (rg.zmod(1), k)),
+    (gen.component_restriction, lambda k: (rg.zmod(1), k, ())),
+    (ps.power_projections, lambda k: (ab.free_group(k), 0)),
 ]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -38,6 +39,23 @@ def run_main(capsys, *args):
     code = cli.main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_second_main_call_builds_no_parser(capsys, monkeypatch):
+    """The parser is built once per process: an in-process caller that runs
+    main per corpus leaves no argparse reference cycles behind per call."""
+    assert run_main(capsys, "index", "--n", "1")[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_main(capsys, "verify", fixture("two_origins.json"))[0] == 0
+    assert run_main(capsys, "index", "--n", "2")[0] == 0
+    assert built == []
 
 
 def test_verify_two_origins(capsys, tmp_path):
