@@ -73,9 +73,18 @@ def _top_verify(functor, rep) -> dict:
     return tg.verify_glued(rep.space, rep.iota, functor)
 
 
-def _top_sample(functor, rep, rng, samples) -> None:
+def _top_sample(functor, rep, rng, samples) -> int:
+    """Draw ``samples`` comparison maps out of the glued space and check the
+    cone through each distinct one once; the checks are functions of the
+    cone, so a repeated map would pass or fail as it did.  Returns the
+    number of distinct cones checked."""
+    checked = set()
     for _ in range(samples):
-        _top_check_cone(functor, rep, gen.random_cone(rng, functor, rep))
+        h = gen.random_comparison_map(rng, rep.space)
+        if (h.cod, h.assign) not in checked:
+            checked.add((h.cod, h.assign))
+            _top_check_cone(functor, rep, gen.cone_through(h, rep))
+    return len(checked)
 
 
 def _top_check_cone(functor, rep, cone) -> None:
@@ -146,7 +155,8 @@ def _ringed_artifacts(g, glued) -> dict:
 #     or None when the data is invalid;
 #   verify(functor, limit) checks the limit's cone: the conditions, with a
 #     "verdict" that is a theorem on valid data, so false is a falsification;
-#   sample(functor, limit, rng, samples) checks sampled cones (top only);
+#   sample(functor, limit, rng, samples) checks sampled cones (top only)
+#     and returns how many distinct ones it checked;
 #   artifacts(functor, limit) gives the artifacts dict.
 _PIPELINES = {
     "top": (_top_glue, _top_verify, _top_sample, _top_artifacts),
@@ -163,18 +173,19 @@ def run_pipeline(payload: dict, seed: int, samples: int = DEFAULT_SAMPLES) -> tu
     glued = glue(payload["data"])
     conditions = {"data_valid": glued is not None}
     artifacts = {}
+    timings = {} if sample is None else {"cones_checked": 0}
     if glued is not None:
         functor, limit = glued
         conditions.update(verify(functor, limit))
         if not conditions.pop("verdict"):
             raise FalsificationError(f"the {payload['kind']} limit failed its own verification: {conditions}")
         if sample is not None:
-            sample(functor, limit, random.Random(seed), samples)
+            timings["cones_checked"] = sample(functor, limit, random.Random(seed), samples)
             conditions["universal_sampled"] = True
         artifacts = artifacts_of(functor, limit)
     report = {"conditions": conditions, "verdict": glued is not None, "kind": payload["kind"],
               "variant": payload.get("variant"), "seed": seed}
-    artifacts["timings"] = {"total_seconds": time.perf_counter() - t0}
+    artifacts["timings"] = {**timings, "total_seconds": time.perf_counter() - t0}
     return report, artifacts
 
 

@@ -275,27 +275,39 @@ def equivalence_closure(n: int, pairs) -> list[frozenset[int]]:
     return sorted((frozenset(c) for c in classes.values()), key=min)
 
 
-def is_equivalence(n: int, pairs) -> bool:
-    rel = set()
-    for a, b in pairs:
-        rel.add((a, b))
-    for x in range(n):
-        if (x, x) not in rel:
-            return False
-    for a, b in rel:
-        if (b, a) not in rel:
-            return False
-    for a, b in rel:
-        for c, d in rel:
-            if b == c and (a, d) not in rel:
-                return False
-    return True
+def equivalence_classes(n: int, pairs) -> list[frozenset] | None:
+    """The classes of the relation the pairs form, when it is an equivalence
+    relation (reflexive on 0..n-1, symmetric and transitive); else None.
+
+    Every pair lies within one class of the relation's closure, and the
+    classes hold Σ|C|² pairs, so the relation is an equivalence exactly
+    when it is reflexive on 0..n-1 and holds that many: one count, linear
+    in the pairs.  Points the pairs name outside 0..n-1 join the classes
+    of the points they are paired with, or form their own.
+    """
+    rel = {(a, b) for a, b in pairs}
+    if not all((x, x) in rel for x in range(n)):
+        return None
+    outside = set(chain.from_iterable(rel)).difference(range(n))
+    if not outside:
+        classes = equivalence_closure(n, rel)
+    else:
+        points = [*range(n), *outside]
+        label = {x: k for k, x in enumerate(points)}
+        found = equivalence_closure(len(points), ((label[a], label[b]) for a, b in rel))
+        classes = [frozenset(map(points.__getitem__, c)) for c in found]
+    return classes if len(rel) == sum(len(c) ** 2 for c in classes) else None
 
 
 def quotient_final(space: FinSpace, pairs) -> tuple[FinSpace, ContinuousMap]:
     """Quotient by the closure of an arbitrary relation, with the final
     topology: a class set is open iff its preimage is open."""
-    classes = equivalence_closure(space.n, pairs)
+    return quotient_by_classes(space, equivalence_closure(space.n, pairs))
+
+
+def quotient_by_classes(space: FinSpace, classes) -> tuple[FinSpace, ContinuousMap]:
+    """Quotient by a partition of the points into classes, numbered in the
+    given order, with the final topology."""
     cls_of = [0] * space.n
     for k, c in enumerate(classes):
         for p in c:

@@ -50,10 +50,8 @@ def relabeled_copy(rng: random.Random, space: FinSpace) -> tuple[FinSpace, Conti
     perm = list(range(space.n))
     rng.shuffle(perm)
     # perm[k] = old label of new point k
-    inv = [0] * space.n
-    for new, old in enumerate(perm):
-        inv[old] = new
-    copy = FinSpace(space.n, tuple(frozenset(inv[p] for p in space.minimal[old]) for old in perm))
+    inv = _inverse_permutation(perm)
+    copy = FinSpace(space.n, tuple(frozenset(map(inv.__getitem__, space.minimal[old])) for old in perm))
     back = ContinuousMap(copy, space, tuple(perm))
     return copy, back
 
@@ -69,16 +67,27 @@ def random_top_functor(
     cover = random_open_cover(rng, space, max_charts)
     functor, _ = tg.cover_functor(space, cover)
     objects = {}
-    back = {}
+    back = {}  # per object: copy point -> cover point
+    fwd = {}  # per object: cover point -> copy point
     for a, sp in functor.objects.items():
-        copy, back_map = relabeled_copy(rng, sp)
-        objects[a] = copy
-        back[a] = back_map
-    arrows = {}
-    for gen, arrow in functor.arrows.items():
-        fwd = ft.inverse_map(back[gen.dom])
-        arrows[gen] = ft.compose(fwd, ft.compose(arrow, back[gen.cod]))
+        objects[a], back_map = relabeled_copy(rng, sp)
+        back[a] = back_map.assign
+        fwd[a] = _inverse_permutation(back_map.assign)
+    # each arrow runs from the zone of its generator's codomain to that of
+    # its domain, so it is read through back there and fwd here
+    arrows = {
+        gen: ContinuousMap(objects[gen.cod], objects[gen.dom],
+                           tuple(map(fwd[gen.dom].__getitem__, map(arrow.assign.__getitem__, back[gen.cod]))))
+        for gen, arrow in functor.arrows.items()
+    }
     return tg.TopGluingFunctor(functor.n, open_variant, objects, arrows)
+
+
+def _inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(perm)
+    for new, old in enumerate(perm):
+        inv[old] = new
+    return tuple(inv)
 
 
 def corrupt_top_functor(rng: random.Random, g: tg.TopGluingFunctor) -> tg.TopGluingFunctor | None:
@@ -122,25 +131,31 @@ def corrupt_top_functor(rng: random.Random, g: tg.TopGluingFunctor) -> tg.TopGlu
     return tg.TopGluingFunctor(g.n, g.open_variant, objects, arrows)
 
 
-def random_cone(rng: random.Random, g: tg.TopGluingFunctor, glued: tg.GluedSpace) -> tg.TopCone:
-    """A cone over the functor: the glued legs pushed through a random
-    continuous map out of the glued space."""
-    q = glued.space
+def random_comparison_map(rng: random.Random, q: FinSpace) -> ContinuousMap:
+    """A random continuous surjection out of q: a relabeling, a quotient
+    by random pairs, or the map onto one point."""
     style = rng.random()
     if style < 0.3:
         copy, back_map = relabeled_copy(rng, q)
-        h = ft.inverse_map(back_map)
-    elif style < 0.9:
+        return ft.inverse_map(back_map)
+    if style < 0.9:
         pairs = []
         for _ in range(rng.randint(0, q.n)):
             pairs.append((rng.randrange(q.n), rng.randrange(q.n))) if q.n else None
-        target, proj = ft.quotient_final(q, pairs)
-        h = proj
-    else:
-        target = ft.point_space() if q.n else ft.empty_space()
-        h = ContinuousMap(q, target, (0,) * q.n)
-    legs = {a: ft.compose(h, leg) for a, leg in glued.iota.items()}
-    return tg.TopCone(h.cod, legs)
+        return ft.quotient_final(q, pairs)[1]
+    target = ft.point_space() if q.n else ft.empty_space()
+    return ContinuousMap(q, target, (0,) * q.n)
+
+
+def cone_through(h: ContinuousMap, glued: tg.GluedSpace) -> tg.TopCone:
+    """The cone of the glued legs pushed through h, a map out of the glued space."""
+    return tg.TopCone(h.cod, {a: ft.compose(h, leg) for a, leg in glued.iota.items()})
+
+
+def random_cone(rng: random.Random, g: tg.TopGluingFunctor, glued: tg.GluedSpace) -> tg.TopCone:
+    """A cone over the functor: the glued legs pushed through a random
+    continuous map out of the glued space."""
+    return cone_through(random_comparison_map(rng, glued.space), glued)
 
 
 def corrupt_cone_legs(rng: random.Random, g: tg.TopGluingFunctor, cone: tg.TopCone) -> tg.TopCone:

@@ -169,6 +169,8 @@ class TauT:
 
 Generator = Eta | Tau | EtaT | TauT
 Square = tuple[IdxObj, IdxObj, tuple[Generator, ...]]
+# a square by positions: (source, target, parent square or None, last generator)
+Step = tuple[int, int, int | None, int]
 
 
 @dataclass(frozen=True)
@@ -178,7 +180,12 @@ class GluingIndexCategory:
     squares (a, b, chain); legs L form a cone when L_b = L_a after the
     chain's image for every square: (1) every morphism with a != b, along
     its path; (2) every generator except ``TauT``; (3) like (2), with each
-    ``Tau(i, j)`` replaced by ``Eta(j, i), Tau(i, j)`` out of [j].
+    ``Tau(i, j)`` replaced by ``Eta(j, i), Tau(i, j)`` out of [j], those
+    composites listed after the other squares.  ``square_steps`` gives each
+    square as positions (a, b, parent, last) in ``objects`` and
+    ``generators``: its chain is the chain of the square at position
+    ``parent`` of the same characterization, an earlier square out of a
+    (None for the identity at a), followed by the generator ``last``.
     ``leg_generators``: ``Eta`` into each pair, then ``EtaT(i, j, k)`` with
     j < k into each triple, each out of a single or an earlier codomain."""
 
@@ -187,6 +194,7 @@ class GluingIndexCategory:
     generators: tuple[Generator, ...]
     paths: dict[tuple[IdxObj, IdxObj], tuple[Generator, ...]]
     cone_squares: tuple[tuple[Square, ...], tuple[Square, ...], tuple[Square, ...]]
+    square_steps: tuple[tuple[Step, ...], tuple[Step, ...], tuple[Step, ...]]
     leg_generators: tuple[Eta | EtaT, ...]
 
     def morphism_count(self) -> int:
@@ -210,31 +218,47 @@ def index_category(n: int) -> GluingIndexCategory:
         gens.append(TauT(i, j, k))
         if j < k:
             gens += [EtaT(i, j, k), EtaT(i, k, j)]
-    # the search runs on object positions, which hash faster than objects;
-    # the singles come first, so single(j) is objects[j]
+    # the search runs on object and generator positions, which hash faster
+    # than objects; the singles come first, so single(j) is objects[j]
     position = {obj: k for k, obj in enumerate(objects)}
     ends = [(position[g.dom], position[g.cod]) for g in gens]
-    out_edges: list[list[tuple[Generator, int]]] = [[] for _ in objects]
-    for g, (a, b) in zip(gens, ends):
-        out_edges[a].append((g, b))
+    out_edges: list[list[tuple[int, int]]] = [[] for _ in objects]
+    for k, (a, b) in enumerate(ends):
+        out_edges[a].append((k, b))
     paths = {}
+    first: list[Step] = []
     for a, source in enumerate(objects):
-        reached, queue = {a: ()}, [a]
+        # per reached object, its chain and the position of its square
+        reached, slot, queue = {a: ()}, {a: None}, [a]
         for obj in queue:
-            for g, b in out_edges[obj]:
+            for k, b in out_edges[obj]:
                 if b not in reached:
-                    reached[b] = reached[obj] + (g,)
+                    reached[b] = reached[obj] + (gens[k],)
+                    slot[b] = len(first)
+                    first.append((a, b, slot[obj], k))
                     queue.append(b)
         paths.update(((source, objects[b]), chain) for b, chain in reached.items())
-    first = tuple((a, b, chain) for (a, b), chain in paths.items() if a != b)
-    plain = [(g, a, b) for g, (a, b) in zip(gens, ends) if not isinstance(g, TauT)]
-    second = tuple((objects[a], objects[b], (g,)) for g, a, b in plain)
-    third = tuple((objects[g.j], objects[b], (Eta(g.j, g.i), g)) if isinstance(g, Tau) else square
-                  for (g, _, b), square in zip(plain, second))
+    second: list[Step] = [(a, b, None, k) for k, (a, b) in enumerate(ends) if not isinstance(gens[k], TauT)]
+    # (3): the squares of (2) but Tau's, then each Tau(i, j) after the
+    # square of Eta(j, i) out of [j]
+    third = [step for step in second if not isinstance(gens[step[3]], Tau)]
+    slot = {gens[k]: s for s, (_, _, _, k) in enumerate(third)}
+    third += [(g.j, ends[k][1], slot[Eta(g.j, g.i)], k) for k, g in enumerate(gens) if isinstance(g, Tau)]
+    steps = (tuple(first), tuple(second), tuple(third))
+    squares = tuple(tuple((objects[a], objects[b], _chain(gens, table, s)) for s, (a, b, _, _) in enumerate(table))
+                    for table in steps)
     legs = [g for g in gens if isinstance(g, Eta)]
     legs += [g for g in gens if isinstance(g, EtaT) and g.via < g.other]
-    return GluingIndexCategory(n, tuple(objects), tuple(gens), paths,
-                               (first, second, third), tuple(legs))
+    return GluingIndexCategory(n, tuple(objects), tuple(gens), paths, squares, steps, tuple(legs))
+
+
+def _chain(gens, steps, s: int) -> tuple[Generator, ...]:
+    """The generator chain of square s, read back along its parents."""
+    chain = []
+    while s is not None:
+        _, _, s, k = steps[s]
+        chain.append(gens[k])
+    return tuple(reversed(chain))
 
 
 def enumerate_category(n: int) -> GluingIndexCategory:

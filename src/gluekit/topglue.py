@@ -77,32 +77,43 @@ class TopGluingFunctor:
         asks the leg at b to equal the leg at a after m, the chain's plain
         map from the space at b to the space at a: the first reader takes
         the leg at b, the second the leg at a at the points of m, and the
-        characterization holds when both read the same values.  Built once
-        per functor.  A characterization with a square whose domain is not
-        the space at b is None (no legs satisfy it); arrows that do not
-        compose give their ValidationError instead."""
-        offsets = dict(zip(self.objects, accumulate((space.n for space in self.objects.values()), initial=0)))
-
-        def square(a: IdxObj, b: IdxObj, path: tuple[Generator, ...]) -> tuple[range, map] | None:
-            # starting from the identity at a, which has the domain of every
-            # leg at a, raises exactly where composing such a leg would
-            m = ft.identity_map(self.objects[a])
-            for g in path:
-                m = ft.compose(m, self.arrows[g])
-            if m.dom != self.objects[b]:
-                return None
-            return range(offsets[b], offsets[b] + m.dom.n), map(offsets[a].__add__, m.assign)
-
+        characterization holds when both read the same values.  Each m is
+        its parent square's map after one arrow (``square_steps``), with
+        objects and arrows read by position.  Built once per functor.  A
+        characterization with a square whose domain is not the space at b
+        is None (no legs satisfy it); arrows that do not compose give their
+        ValidationError instead."""
+        table = index_category(self.n)
+        spaces = list(map(self.objects.__getitem__, table.objects))
+        arrows = list(map(self.arrows.__getitem__, table.generators))
+        start = dict(zip(self.objects, accumulate((space.n for space in self.objects.values()), initial=0)))
+        offsets = list(map(start.__getitem__, table.objects))
+        # a chain starts from the identity at a, which has the domain of
+        # every leg at a, so it raises exactly where composing such a leg would
+        identities = list(map(ft.identity_map, spaces))
         try:
             # the identity squares (a == b) hold for every family of legs
-            table = [[square(*sq) for sq in squares] for squares in index_category(self.n).cone_squares]
+            maps = [_compose_steps(steps, identities, arrows) for steps in table.square_steps]
         except ValidationError as exc:
             return exc
-        return tuple(
-            None if None in squares else (_reader(chain.from_iterable(lhs for lhs, _ in squares)),
-                                          _reader(chain.from_iterable(rhs for _, rhs in squares)))
-            for squares in table
-        )
+        compiled = []
+        for steps, ms in zip(table.square_steps, maps):
+            if any(m.dom != spaces[b] for (_, b, _, _), m in zip(steps, ms)):
+                compiled.append(None)
+                continue
+            lhs = (range(offsets[b], offsets[b] + spaces[b].n) for _, b, _, _ in steps)
+            rhs = (map(offsets[a].__add__, m.assign) for (a, _, _, _), m in zip(steps, ms))
+            compiled.append((_reader(chain.from_iterable(lhs)), _reader(chain.from_iterable(rhs))))
+        return tuple(compiled)
+
+
+def _compose_steps(steps, identities, arrows) -> list[ContinuousMap]:
+    """Each square's map, as its parent's map (or the identity at its
+    source) after its last arrow: one compose per square."""
+    maps: list[ContinuousMap] = []
+    for a, _, parent, k in steps:
+        maps.append(ft.compose(identities[a] if parent is None else maps[parent], arrows[k]))
+    return maps
 
 
 def _reader(positions) -> Reader:
@@ -227,13 +238,11 @@ def glue_relation_pairs(g: TopGluingFunctor) -> set[tuple[int, int]]:
         total += g.objects[single(i)].n
     pairs = {(p, p) for p in range(total)}
     for i, j in permutations(range(g.n), 2):
-        upsilon_ij = g.arrows[Eta(i, j)]
-        upsilon_ji = g.arrows[Eta(j, i)]
-        phi_ij = g.arrows[Tau(i, j)]
-        for u in range(upsilon_ij.dom.n):
-            x = offsets[i] + upsilon_ij(u)
-            y = offsets[j] + upsilon_ji(phi_ij(u))
-            pairs.add((x, y))
+        # overlap point u is upsilon_ij(u) in chart i and upsilon_ji(phi_ij(u)) in chart j
+        upsilon_ji = g.arrows[Eta(j, i)].assign
+        x = map(offsets[i].__add__, g.arrows[Eta(i, j)].assign)
+        y = map(offsets[j].__add__, map(upsilon_ji.__getitem__, g.arrows[Tau(i, j)].assign))
+        pairs.update(zip(x, y))
     return pairs
 
 
@@ -247,12 +256,12 @@ def standard_representative(g: TopGluingFunctor) -> GluedSpace:
     """
     chart_spaces = [g.objects[single(i)] for i in range(g.n)]
     cop, injections = ft.coproduct(chart_spaces)
-    pairs = glue_relation_pairs(g)
-    if not ft.is_equivalence(cop.n, pairs):
+    classes = ft.equivalence_classes(cop.n, glue_relation_pairs(g))
+    if classes is None:
         raise FalsificationError(
             "overlap relation failed to be an equivalence on validated data"
         )
-    q, proj = ft.quotient_final(cop, pairs)
+    q, proj = ft.quotient_by_classes(cop, classes)
     iota: dict[IdxObj, ContinuousMap] = {}
     for i in range(g.n):
         iota[single(i)] = ft.compose(proj, injections[i])
@@ -432,15 +441,20 @@ def cover_functor(space: FinSpace, cover) -> tuple[TopGluingFunctor, dict[IdxObj
         raise ValidationError("the family does not cover the space")
     n = len(cover)
     subs = {}
+    points = {}  # per zone, its points sorted
     locs = {}
     legs: dict[IdxObj, ContinuousMap] = {}
+    # objects with one point set (pair(i, j) and pair(j, i), or the triples
+    # of three charts) share one subspace, built once
+    zones = {}
 
     def register(key, pts):
-        pts = sorted(pts)
-        sub = ft.subspace(space, pts)
-        subs[key] = sub
-        locs[key] = {p: k for k, p in enumerate(pts)}
-        legs[key] = ContinuousMap(sub, space, tuple(pts))
+        if pts not in zones:
+            ordered = sorted(pts)
+            sub = ft.subspace(space, ordered)
+            loc = {p: k for k, p in enumerate(ordered)}
+            zones[pts] = ordered, sub, loc, ContinuousMap(sub, space, tuple(ordered))
+        points[key], subs[key], locs[key], legs[key] = zones[pts]
 
     for i in range(n):
         register(single(i), cover[i])
@@ -450,8 +464,7 @@ def cover_functor(space: FinSpace, cover) -> tuple[TopGluingFunctor, dict[IdxObj
         register(t, cover[t.apex] & cover[t.rest[0]] & cover[t.rest[1]])
 
     def between(src: IdxObj, dst: IdxObj) -> ContinuousMap:
-        src_pts = sorted(locs[src])
-        return ContinuousMap(subs[src], subs[dst], tuple(locs[dst][p] for p in src_pts))
+        return ContinuousMap(subs[src], subs[dst], tuple(map(locs[dst].__getitem__, points[src])))
 
     objects = dict(subs)
     arrows: dict[Generator, ContinuousMap] = {}

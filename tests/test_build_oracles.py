@@ -16,7 +16,11 @@ seeded draws:
 - a sheaf chart's inverse twist is built from each component's twist
   inverted once, with the projections built once per component count; the
   oracle inverts the twist at every open and builds the projections at
-  every open.
+  every open;
+- a random topological functor conjugates each arrow of its cover functor
+  in one pass through the relabelings, and the cover functor sorts each
+  zone once; the oracle inverts a relabeling and composes twice per arrow,
+  and sorts a zone for every arrow out of it.
 
 The draws must agree to the last matrix entry and leave the generator in
 the same state, since the benchmark corpora are built from them.
@@ -34,7 +38,7 @@ from gluekit import presheaves as ps
 from gluekit import rings as rg
 from gluekit import ringedglue as rgl
 from gluekit import topglue as tg
-from gluekit.indexcat import Eta, EtaT, index_category
+from gluekit.indexcat import Eta, EtaT, Tau, TauT, index_category, pair, single, triple
 from test_ringedglue import restrict_ringed
 
 DRAWS = 200
@@ -182,6 +186,81 @@ def reference_random_sheaf_data(rng, max_points=4, max_charts=3, max_rank=1):
             ps.restrict_presheaf(charts[i], overlap), ps.restrict_presheaf(charts[j], overlap), comps
         )
     return space, cover, tuple(charts), transitions, base_group
+
+
+def reference_cover_functor(space, cover):
+    """``topglue.cover_functor`` with each zone sorted again for every arrow
+    out of it."""
+    cover = [frozenset(c) for c in cover]
+    n = len(cover)
+    subs, locs, legs = {}, {}, {}
+
+    def register(key, pts):
+        pts = sorted(pts)
+        subs[key] = ft.subspace(space, pts)
+        locs[key] = {p: k for k, p in enumerate(pts)}
+        legs[key] = ft.ContinuousMap(subs[key], space, tuple(pts))
+
+    for i in range(n):
+        register(single(i), cover[i])
+    for i, j in permutations(range(n), 2):
+        register(pair(i, j), cover[i] & cover[j])
+    for t in index_category(n).triples:
+        register(t, cover[t.apex] & cover[t.rest[0]] & cover[t.rest[1]])
+
+    def between(src, dst):
+        return ft.ContinuousMap(subs[src], subs[dst], tuple(locs[dst][p] for p in sorted(locs[src])))
+
+    arrows = {}
+    for i, j in permutations(range(n), 2):
+        arrows[Eta(i, j)] = between(pair(i, j), single(i))
+        arrows[Tau(i, j)] = between(pair(i, j), pair(j, i))
+    for i, j, k in permutations(range(n), 3):
+        arrows[TauT(i, j, k)] = between(triple(i, j, k), triple(j, i, k))
+        arrows[EtaT(i, j, k)] = between(triple(i, j, k), pair(i, j))
+    return tg.TopGluingFunctor(n, True, dict(subs), arrows), legs
+
+
+def reference_random_top_functor(rng, max_charts=3, max_points=5, open_variant=True):
+    """``generators.random_top_functor`` with each arrow conjugated by an
+    inverted relabeling and two composes."""
+    space = gen.random_space(rng, max_points)
+    cover = gen.random_open_cover(rng, space, max_charts)
+    functor, _ = reference_cover_functor(space, cover)
+    objects, back = {}, {}
+    for a, sp in functor.objects.items():
+        objects[a], back[a] = gen.relabeled_copy(rng, sp)
+    arrows = {
+        x: ft.compose(ft.inverse_map(back[x.dom]), ft.compose(arrow, back[x.cod]))
+        for x, arrow in functor.arrows.items()
+    }
+    return tg.TopGluingFunctor(functor.n, open_variant, objects, arrows)
+
+
+def ordered(g):
+    """A topological functor with the order of its objects and arrows,
+    which sets the layout of concatenated legs."""
+    return g.n, g.open_variant, list(g.objects.items()), list(g.arrows.items())
+
+
+@pytest.mark.parametrize("open_variant", (True, False))
+def test_top_functors_match_the_composed_conjugation(open_variant):
+    rng, oracle = random.Random(f"top/{open_variant}"), random.Random(f"top/{open_variant}")
+    for draw in range(DRAWS):
+        charts = 3 + draw % 2
+        g = gen.random_top_functor(rng, max_charts=charts, max_points=5, open_variant=open_variant)
+        assert ordered(g) == ordered(reference_random_top_functor(oracle, charts, 5, open_variant))
+        assert rng.getstate() == oracle.getstate()
+
+
+def test_cover_functors_match_the_zone_sorting_per_arrow():
+    rng = random.Random("cover")
+    for _ in range(DRAWS):
+        space = gen.random_space(rng, 6)
+        cover = gen.random_open_cover(rng, space, 4)
+        g, legs = tg.cover_functor(space, cover)
+        h, oracle_legs = reference_cover_functor(space, cover)
+        assert ordered(g) == ordered(h) and list(legs.items()) == list(oracle_legs.items())
 
 
 def exact(x):

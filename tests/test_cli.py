@@ -80,6 +80,20 @@ def test_build_artifacts_have_three_point_dump(capsys, tmp_path):
     assert (outdir / "timings.json").exists()
 
 
+def test_top_timings_count_the_cones_checked(capsys, tmp_path):
+    """A top document's timings, on stderr and in timings.json, say how
+    many distinct sampled cones were checked; other kinds sample none."""
+    code, _, err = run_main(capsys, "verify", fixture("two_origins.json"), "--samples", "40")
+    timings = json.loads(err.removeprefix("timings: "))
+    assert code == 0 and set(timings) == {"cones_checked", "total_seconds"}
+    assert 1 <= timings["cones_checked"] <= 40
+    outdir = tmp_path / "build"
+    assert run_main(capsys, "build", fixture("two_origins.json"), "--out", str(outdir), "--samples", "40")[0] == 0
+    assert json.loads((outdir / "timings.json").read_text())["cones_checked"] == timings["cones_checked"]
+    code, _, err = run_main(capsys, "verify", fixture("two_origins_sheaf.json"))
+    assert code == 0 and set(json.loads(err.removeprefix("timings: "))) == {"total_seconds"}
+
+
 def test_all_fixture_kinds_verify(capsys):
     for name in (
         "two_origins.json",

@@ -1,3 +1,4 @@
+import collections
 import random
 from itertools import product as iproduct
 
@@ -492,6 +493,103 @@ def test_quotient_final_matches_subset_sweep_reference():
         classes = ft.equivalence_closure(n, pairs)
         assert lattice_of(q) == ref_quotient_final(lattice, classes)
         assert all(p in classes[proj(p)] for p in range(n))
+
+
+def reference_is_equivalence(n, pairs):
+    """The relation check as a sweep: reflexive on 0..n-1, then symmetry,
+    then transitivity over all pairs of pairs."""
+    rel = set()
+    for a, b in pairs:
+        rel.add((a, b))
+    for x in range(n):
+        if (x, x) not in rel:
+            return False
+    for a, b in rel:
+        if (b, a) not in rel:
+            return False
+    for a, b in rel:
+        for c, d in rel:
+            if b == c and (a, d) not in rel:
+                return False
+    return True
+
+
+def seeded_relation(rng):
+    """A relation on 0..n-1, of one of several kinds: an equivalence, one
+    with a pair removed (not reflexive, not symmetric or not transitive) or
+    added, one naming points outside 0..n-1, or random pairs."""
+    n = rng.randint(0, 7)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+    blocks = [labels[i:j] for i, j in zip([0] + cuts, cuts + [n])] if n else []
+    rel = [(a, b) for block in blocks for a in block for b in block]
+    kind = rng.choice(("equivalence", "removed", "added", "outside", "linked_outside", "random"))
+    if kind == "removed" and rel:
+        rel.pop(rng.randrange(len(rel)))
+    elif kind == "added" and n:
+        rel.append((rng.randrange(n), rng.randrange(n)))
+    elif kind in ("outside", "linked_outside"):
+        # points beyond 0..n-1, in a block of their own or joined to one of
+        # 0..n-1, with one of their pairs dropped half the time
+        extra = list({rng.choice((-2, -1, n, n + 1, n + 5)) for _ in range(rng.randint(1, 2))})
+        if kind == "linked_outside" and blocks:
+            block = rng.choice(blocks)
+            rel = [pair for pair in rel if pair[0] not in block]
+            extra += block
+        added = [(a, b) for a in extra for b in extra]
+        if rng.random() < 0.5:
+            added.pop(rng.randrange(len(added)))
+        rel += added
+    elif kind == "random":
+        rel = [(rng.randrange(-1, n + 1), rng.randrange(-1, n + 1)) for _ in range(rng.randint(0, n * n + 2))]
+    rng.shuffle(rel)
+    return kind, n, rel + rel[: rng.randint(0, 2)]
+
+
+def test_equivalence_classes_match_the_pair_sweep():
+    """The counting check gives the sweep's verdict on seeded relations of
+    every kind, and on an equivalence returns the classes of its closure."""
+    rng = random.Random(109)
+    outcomes = collections.Counter()
+    for _ in range(3000):
+        kind, n, rel = seeded_relation(rng)
+        classes = ft.equivalence_classes(n, rel)
+        verdict = reference_is_equivalence(n, rel)
+        assert (classes is not None) == verdict, (n, rel)
+        if verdict:
+            # the class of x is every point related to x
+            points = set(range(n)).union(*map(set, rel))
+            rows = {frozenset(b for a, b in rel if a == x) for x in points}
+            assert sorted(map(sorted, classes)) == sorted(map(sorted, rows))
+            if all(0 <= p < n for pair in rel for p in pair):
+                assert classes == ft.equivalence_closure(n, rel)
+        outcomes[kind, verdict] += 1
+    for kind in ("removed", "added", "random", "outside", "linked_outside"):
+        assert outcomes[kind, False] >= 50, outcomes
+    for kind in ("equivalence", "added", "outside", "linked_outside"):
+        assert outcomes[kind, True] >= 50, outcomes
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0, 0), (1, 1, 1)],
+    [(0, 0), 5],
+    [(0, 0), ([1], [1])],
+    [[0, 0], [1, 1], [0, 1], [1, 0]],
+    [(0, 0), (1, 1), (-1, -1), (-1, 0)],
+    [(0, 0), (1, 1), ("x", "x")],
+])
+def test_equivalence_classes_refuse_what_the_sweep_refuses(pairs):
+    """Pairs that are not pairs, or not hashable, raise what the sweep
+    raises; pairs given as lists and points beyond 0..n-1 are decided."""
+    try:
+        expected = reference_is_equivalence(2, pairs)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            ft.equivalence_classes(2, pairs)
+        assert str(info.value) == str(exc)
+    else:
+        assert (ft.equivalence_classes(2, pairs) is not None) == expected
 
 
 def test_continuity_and_openness_match_preimage_and_image_references():

@@ -193,10 +193,13 @@ def test_cone_squares_and_leg_generators():
             assert chain[-1].cod == b
         oracle = {(_to_obj(a), _to_obj(b)) for a, b in oracle_hom_pairs(n) if a != b}
         assert len(first) == len(oracle) and {(a, b) for a, b, _ in first} == oracle
-        assert [chain for _, _, chain in second] == [(g,) for g in gens if not isinstance(g, ic.TauT)]
-        assert len(third) == len(second)
-        for (_, _, (g,)), (_, _, chain) in zip(second, third):
-            assert chain == ((ic.Eta(g.j, g.i), g) if isinstance(g, ic.Tau) else (g,))
+        plain = [g for g in gens if not isinstance(g, ic.TauT)]
+        assert [chain for _, _, chain in second] == [(g,) for g in plain]
+        # (3): the squares of (2) but Tau's, then each Tau(i, j) out of [j]
+        assert [chain for _, _, chain in third] == (
+            [(g,) for g in plain if not isinstance(g, ic.Tau)]
+            + [(ic.Eta(g.j, g.i), g) for g in plain if isinstance(g, ic.Tau)]
+        )
         # the leg generators reach every non-single object once, each from
         # a single or an object reached before it
         reached = [ic.single(i) for i in range(n)]
@@ -204,6 +207,26 @@ def test_cone_squares_and_leg_generators():
             assert g in gens and g.dom in reached and g.cod not in reached
             reached.append(g.cod)
         assert sorted(reached, key=repr) == sorted(cat.objects, key=repr)
+
+
+def test_square_steps_link_each_square_to_an_earlier_parent():
+    """Each square's parent is an earlier square of the same
+    characterization out of the same object, whose chain is the square's
+    chain without its last generator; a square with no parent is one
+    generator.  The squares of (1) are the paths of the table."""
+    for n in range(1, ic.DEFAULT_MAX_INDEX + 1):
+        cat = ic.index_category(n)
+        for squares, steps in zip(cat.cone_squares, cat.square_steps):
+            assert len(squares) == len(steps)
+            for s, ((a, b, chain), (pa, pb, parent, k)) in enumerate(zip(squares, steps)):
+                assert (cat.objects[pa], cat.objects[pb]) == (a, b)
+                assert chain[-1] == cat.generators[k]
+                if parent is None:
+                    assert chain == (cat.generators[k],)
+                else:
+                    assert 0 <= parent < s and steps[parent][0] == pa
+                    assert squares[parent][2] == chain[:-1]
+        assert all(cat.paths[(a, b)] == chain for a, b, chain in cat.cone_squares[0])
 
 
 def test_composition_associative_and_unital():

@@ -1,12 +1,14 @@
 import collections
 import random
-from itertools import permutations, product
+from itertools import accumulate, chain, permutations, product
 
 import pytest
 
 from gluekit import cli
 from gluekit import fintop as ft
 from gluekit import generators as gen
+from gluekit import jsonio
+from gluekit import ringedglue as rgl
 from gluekit import topglue as tg
 from gluekit.errors import FalsificationError, ValidationError
 from gluekit.indexcat import Eta, EtaT, Tau, generator_path, index_category, pair, single, triple
@@ -195,11 +197,11 @@ def reference_is_cone(apex, legs, g):
     return first, second, third
 
 
-def per_square_is_cone(apex, legs, g):
-    """is_cone as it was before each characterization became two reads of
-    the concatenated legs: every square (a, b, chain) of the index table
-    composed from the identity at a, and compared as one tuple."""
-    assign = {a: leg.assign for a, leg in zip(g.objects, tg._legs_match_endpoints(g, apex, legs))}
+def scratch_squares(g):
+    """The cone squares compiled from scratch: per characterization, each
+    square (a, b, chain) of the index table as (a, b, m.assign), with m the
+    whole chain composed from the identity at a, or None when some m does
+    not start at the space at b.  Raises where composing fails."""
 
     def square(a, b, chain):
         m = ft.identity_map(g.objects[a])
@@ -208,9 +210,17 @@ def per_square_is_cone(apex, legs, g):
         return (a, b, m.assign) if m.dom == g.objects[b] else None
 
     table = [[square(*sq) for sq in squares] for squares in index_category(g.n).cone_squares]
+    return [None if None in squares else squares for squares in table]
+
+
+def per_square_is_cone(apex, legs, g):
+    """is_cone as it was before each characterization became two reads of
+    the concatenated legs: every square compiled from scratch, and
+    compared as one tuple."""
+    assign = {a: leg.assign for a, leg in zip(g.objects, tg._legs_match_endpoints(g, apex, legs))}
     first, second, third = (
-        None not in squares and all(assign[b] == tuple(map(assign[a].__getitem__, m)) for a, b, m in squares)
-        for squares in table
+        squares is not None and all(assign[b] == tuple(map(assign[a].__getitem__, m)) for a, b, m in squares)
+        for squares in scratch_squares(g)
     )
     if not (first == second == third):
         raise FalsificationError(f"cone characterizations disagree: {(first, second, third)}")
@@ -275,6 +285,186 @@ def test_is_cone_matches_reference_on_seeded_cones():
                     assert cone_outcome(tg.is_cone, cone.apex, cone.legs, broken) == expected
     assert outcomes["legs", True] >= 500 and outcomes["legs", False] >= 100, outcomes
     assert outcomes[False] and outcomes["ValidationError"], outcomes
+
+
+def scratch_verdicts(g, scratch, values):
+    """Per characterization, whether legs with the concatenated assignments
+    ``values`` satisfy its squares ``scratch`` compiled from scratch."""
+    offsets = dict(zip(g.objects, accumulate((space.n for space in g.objects.values()), initial=0)))
+    return tuple(
+        squares is not None
+        and all(values[offsets[b] + x] == values[offsets[a] + y] for a, b, m in squares for x, y in enumerate(m))
+        for squares in scratch
+    )
+
+
+def compiled_verdicts(g, values):
+    return tuple(readers is not None and readers[0](values) == readers[1](values) for readers in g.cone_squares)
+
+
+def seeded_functors(rng):
+    """(kind, functor) draws: random functors, their corruptions, the plain
+    sides of ringed functors, cover functors of up to 6 charts, and random
+    functors with one arrow moved onto a foreign domain."""
+    kind = rng.choice(("random", "corrupt", "ringed", "cover", "foreign"))
+    if kind == "corrupt":
+        g = None
+        while g is None:
+            g = gen.corrupt_top_functor(rng, gen.random_top_functor(rng, max_charts=4))
+    elif kind == "ringed":
+        g = rgl.induced_top_functor(gen.random_ringed_functor(rng, rng.choice(("lrts", "rts")), max_points=5))
+    elif kind == "cover":
+        space = gen.random_space(rng, 6)
+        g, _ = tg.cover_functor(space, gen.random_open_cover(rng, space, 6))
+    elif kind == "random":
+        g = gen.random_top_functor(rng, max_charts=4, open_variant=rng.random() < 0.5)
+    else:
+        g = gen.random_top_functor(rng, max_charts=4)
+        while not g.arrows:
+            g = gen.random_top_functor(rng, max_charts=4)
+        g = with_foreign_domain(g, rng.choice(sorted(g.arrows, key=repr)))
+    return kind, g
+
+
+def leg_families(rng, g):
+    """Concatenated leg assignments: the glued legs when g glues, each also
+    through a random comparison map and with one value moved, and random
+    values into one to three points."""
+    total = sum(space.n for space in g.objects.values())
+    families = [tuple(rng.randrange(m) for _ in range(total)) for m in (1, 2, 3)]
+    try:
+        rep = tg.standard_representative(g)
+    except (ValidationError, FalsificationError):
+        return families
+    for cone in (tg.TopCone(rep.space, rep.iota), gen.random_cone(rng, g, rep)):
+        values = tuple(chain.from_iterable(cone.legs[a].assign for a in g.objects))
+        families.append(values)
+        if values and cone.apex.n > 1:
+            moved = list(values)
+            x = rng.randrange(len(moved))
+            moved[x] = (moved[x] + 1) % cone.apex.n
+            families.append(tuple(moved))
+    return families
+
+
+def test_cone_squares_match_the_compile_from_scratch():
+    """One compose per square, along the parent links, gives the squares
+    that composing every chain from the identity gives: the same three
+    verdicts on every leg family, the same None characterizations, and the
+    same ValidationError."""
+    rng = random.Random(53)
+    outcomes = collections.Counter()
+    for _ in range(1000):
+        kind, g = seeded_functors(rng)
+        try:
+            scratch = scratch_squares(g)
+        except ValidationError as exc:
+            assert isinstance(g.cone_squares, ValidationError) and g.cone_squares.args == exc.args
+            outcomes[kind, "error"] += 1
+            continue
+        assert [readers is None for readers in g.cone_squares] == [squares is None for squares in scratch]
+        outcomes[kind, None in scratch] += 1
+        for values in leg_families(rng, g):
+            verdicts = compiled_verdicts(g, values)
+            assert verdicts == scratch_verdicts(g, scratch, values), (kind, g)
+            outcomes["verdict", verdicts] += 1
+    for kind in ("random", "corrupt", "ringed", "cover"):
+        assert outcomes[kind, False] >= 100, outcomes
+    assert outcomes["foreign", True] + outcomes["foreign", "error"] >= 100, outcomes
+    assert outcomes["verdict", (True, True, True)] >= 500, outcomes
+    assert outcomes["verdict", (False, False, False)] >= 500, outcomes
+
+
+def sample_every_draw(g, rep, rng, samples):
+    """The sample as it was: the cone of every draw checked, repeats too.
+    Returns the distinct cones it checked."""
+    cones = set()
+    for _ in range(samples):
+        cone = gen.random_cone(rng, g, rep)
+        cli._top_check_cone(g, rep, cone)
+        cones.add((cone.apex, tuple(leg.assign for leg in cone.legs.values())))
+    return len(cones)
+
+
+def sample_outcome(sample, g, rep, seed, samples=cli.DEFAULT_SAMPLES):
+    try:
+        return "passed", sample(g, rep, random.Random(seed), samples)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def with_broken_chart_leg(rng, rep, g):
+    """The glued space with one chart leg sent to one point, or None when
+    every chart has fewer than two points."""
+    charts = [i for i in range(g.n) if rep.iota[single(i)].dom.n >= 2]
+    if not charts:
+        return None
+    i = rng.choice(charts)
+    leg = rep.iota[single(i)]
+    constant = ft.ContinuousMap(leg.dom, leg.cod, (leg.assign[0],) * leg.dom.n)
+    return tg.GluedSpace(rep.space, {**rep.iota, single(i): constant})
+
+
+def test_sample_checks_each_distinct_cone_once(monkeypatch):
+    """On seeded documents of both variants, the sample passes or raises the
+    same exception as checking every draw, and runs is_cone and
+    mediating_morphism once per distinct comparison map.  Also on glued
+    spaces with a broken chart leg, and where a mediating map is not unique
+    (mediating_morphism refuses apexes of two points)."""
+    calls = collections.Counter()
+    real_is_cone, real_mediating = tg.is_cone, tg.mediating_morphism
+
+    def counted_is_cone(*args):
+        calls["is_cone"] += 1
+        return real_is_cone(*args)
+
+    def counted_mediating(cone, glued, g):
+        calls["mediating"] += 1
+        if calls["refuse"] and cone.apex.n == 2:
+            raise ValidationError("glued space is not covered by its chart legs")
+        return real_mediating(cone, glued, g)
+
+    monkeypatch.setattr(tg, "is_cone", counted_is_cone)
+    monkeypatch.setattr(tg, "mediating_morphism", counted_mediating)
+    rng = random.Random(59)
+    outcomes = collections.Counter()
+    for doc in range(300):
+        g = gen.random_top_functor(rng, open_variant=doc % 2 == 0)
+        payload = jsonio.parse_document(jsonio.top_data_to_document(tg.data_from_functor(g)), None)
+        functor, rep = cli._top_glue(payload["data"])
+        broken = with_broken_chart_leg(rng, rep, functor)
+        cases = [("document", rep, 0), ("not_unique", rep, 1)] + ([("broken_leg", broken, 0)] if broken else [])
+        for case, glued, refuse in cases:
+            seed = rng.randrange(1 << 30)
+            calls.clear()
+            calls["refuse"] = refuse
+            expected = sample_outcome(sample_every_draw, functor, glued, seed)
+            calls.clear()
+            calls["refuse"] = refuse
+            got = sample_outcome(cli._top_sample, functor, glued, seed)
+            assert got == expected, (case, seed)
+            if got[0] == "passed":
+                assert calls["is_cone"] == calls["mediating"] == got[1]
+            outcomes[case, got[0]] += 1
+    assert outcomes["document", "passed"] == 300, outcomes
+    for case in ("not_unique", "broken_leg"):
+        assert outcomes[case, "FalsificationError"] >= 50, outcomes
+    assert outcomes["not_unique", "passed"] >= 30, outcomes
+
+
+def test_sample_keys_a_comparison_map_by_its_codomain_too(monkeypatch):
+    """Two maps with one assignment into different spaces are two cones."""
+    g = tg.functor_from_data(two_origins_data())
+    rep = tg.standard_representative(g)
+    q = rep.space
+    maps = [ft.ContinuousMap(q, ft.point_space(), (0,) * q.n), ft.ContinuousMap(q, ft.discrete_space(2), (0,) * q.n)]
+    draws = iter(maps * 3)
+    monkeypatch.setattr(gen, "random_comparison_map", lambda rng, space: next(draws))
+    apexes = []
+    real_is_cone = tg.is_cone
+    monkeypatch.setattr(tg, "is_cone", lambda apex, legs, g: (apexes.append(apex), real_is_cone(apex, legs, g))[1])
+    assert cli._top_sample(g, rep, random.Random(0), 6) == 2
+    assert apexes == [m.cod for m in maps]
 
 
 def test_verify_glued_indiscrete_candidate():
