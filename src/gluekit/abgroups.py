@@ -5,7 +5,8 @@ ambient integer vectors; equality, kernels, products and equalizers are all
 decided through the Smith normal form of small integer matrices.  Only this
 module knows where a factor starts in a product: other modules map into a
 product with ``pairing``, out of it with ``projections``, and cut compatible
-families out of it with ``compatible_subgroup``.
+families out of it with ``compatible_subgroup``, whose ring counterpart is
+``rings.compatible_subring``.
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ def projections(groups) -> list[AbHom]:
 def compatible_subgroup(parts, agreements) -> tuple[FgAbGroup, AbHom, list[AbHom]]:
     """The families x in the product of ``parts`` with fa(x[a]) = fb(x[b])
     for every (a, b, fa, fb) in ``agreements``, the group counterpart of
-    ``ringedglue.compatible_families``, as one equalizer.  Returns (subgroup,
+    ``rings.compatible_subring``, as one equalizer.  Returns (subgroup,
     inclusion into ``product_group(parts)``, legs): legs[k] is the inclusion
     then projection k, cut from the inclusion's rows.  With no agreements
     the subgroup is the product and the inclusion its identity."""

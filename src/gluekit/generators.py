@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import permutations
-from itertools import product as iproduct
 
 from . import abgroups as ab
 from . import fintop as ft
@@ -283,11 +282,10 @@ def random_sheaf_data(rng: random.Random, max_points: int = 4, max_charts: int =
 
 
 @lru_cache(maxsize=64)
-def power_ring(base_ring: rgs.FinCommRing, k: int) -> tuple[rgs.FinCommRing, tuple[tuple[int, ...], ...]]:
-    """``rings.product_ring([base_ring] * k)``: k copies of the base ring,
-    with the projections, as tuples since every caller shares them."""
-    ring, projections = rgs.product_ring([base_ring] * k)
-    return ring, tuple(map(tuple, projections))
+def power_ring(base_ring: rgs.FinCommRing, k: int):
+    """``rings.compatible_subring([base_ring] * k, ())``: k copies of the
+    base ring, with its members and projections, shared by every caller."""
+    return rgs.compatible_subring([base_ring] * k, ())
 
 
 @lru_cache(maxsize=256)
@@ -296,12 +294,10 @@ def component_restriction(base_ring: rgs.FinCommRing, k_u: int, parents: tuple[i
     ``k_u`` components to a smaller open whose components lie in components
     ``parents`` of the larger: the hom from k_u copies of the base ring to
     ``len(parents)`` copies that reads factor ``parents[m]`` into factor m."""
-    ring_u, proj_u = power_ring(base_ring, k_u)
-    ring_v, _ = power_ring(base_ring, len(parents))
-    tuples_v = iproduct(*(base_ring.elements() for _ in parents))
-    index_v = {t: a for a, t in enumerate(tuples_v)}
-    assign = [index_v[tuple(proj_u[p][e] for p in parents)] for e in ring_u.elements()]
-    return rgs.RingHom(ring_u, ring_v, tuple(assign))
+    ring_u, _, proj_u = power_ring(base_ring, k_u)
+    ring_v, members_v, _ = power_ring(base_ring, len(parents))
+    index_v = {t: a for a, t in enumerate(members_v)}
+    return rgs.factor_through_subring(ring_u, [proj_u[p] for p in parents], ring_v, index_v)
 
 
 def locally_constant_ringed(space: FinSpace, base_ring: rgs.FinCommRing) -> rgl.RingedSpace:

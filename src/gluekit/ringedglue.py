@@ -21,10 +21,15 @@ glued object pairs the topological standard representative with the
 compatible-family structure sheaf; its legs into the charts are
 ringed-space morphisms, and the cone check composes them with the
 generator images.  The variant is rts or lrts (documents that ask for
-schemes are refused by the parser), and each functor is validated once.  The executed stalk laws are falsification
-checks, not input validation.  Both the gluing axiom and the glued sections
-enumerate compatible families with one join (``compatible_families``),
-whose work follows the families kept.
+schemes are refused by the parser), and each functor is validated once.
+The executed stalk laws are falsification checks, not input validation.
+
+The join and the tables live in ``rings``.  The gluing axiom's families
+come from ``rings.compatible_families``, whose work follows the families
+kept; each glued section ring, with its members and its projections, is
+``rings.compatible_subring`` of the chart sections under
+``glued_agreements``; the glued restrictions and the comparison of a
+candidate are ``rings.factor_through_subring``.
 """
 
 from __future__ import annotations
@@ -43,8 +48,6 @@ from .indexcat import Eta, EtaT, Generator, IdxObj, Tau, check_generator_relatio
 from .presheaves import naturality_failures, opens_below, presheaf_law_failures
 
 VARIANTS = ("rts", "lrts")
-
-_SECTION_PRODUCT_CAP = 200_000
 
 
 @dataclass
@@ -76,40 +79,6 @@ def make_ringed_space(top: FinSpace, sections, restr) -> RingedSpace:
     return space
 
 
-def compatible_families(orders, agreements) -> list[tuple[int, ...]]:
-    """The tuples x, with x[a] < orders[a], that satisfy fa[x[a]] == fb[x[b]]
-    for every (a, b, fa, fb) in ``agreements``, in lexicographic order.
-
-    Built one factor at a time: factor j's elements are keyed by their
-    values under every agreement between j and an earlier factor, in
-    either direction, and each partial family is extended with one
-    lookup.  So the work follows the families kept, and more than
-    ``_SECTION_PRODUCT_CAP`` of them is refused."""
-    families: list[tuple[int, ...]] = [()]
-    for j, order in enumerate(orders):
-        own, earlier = [], []
-        for a, b, fa, fb in agreements:
-            if b == j and a < j:
-                own.append(fb)
-                earlier.append((a, fa))
-            elif a == j and b < j:
-                own.append(fa)
-                earlier.append((b, fb))
-        extensions: dict[tuple[int, ...], list[int]] = {}
-        for x in range(order):
-            extensions.setdefault(tuple(f[x] for f in own), []).append(x)
-        families = [
-            family + (x,)
-            for family in families
-            for x in extensions.get(tuple(f[family[a]] for a, f in earlier), ())
-        ]
-        if len(families) > _SECTION_PRODUCT_CAP:
-            raise ValidationError(
-                f"sections too large to enumerate: more than {_SECTION_PRODUCT_CAP} compatible families"
-            )
-    return families
-
-
 def ring_sheaf_failures(space: RingedSpace) -> list[str]:
     """Identity and gluing axioms on the minimal cover of each open
     (``fintop.minimal_cover``): restriction to the cover is injective, and
@@ -128,7 +97,7 @@ def ring_sheaf_failures(space: RingedSpace) -> list[str]:
             (a, b, space.res(ca, ca & cb).assign, space.res(cb, ca & cb).assign)
             for (a, ca), (b, cb) in combinations(enumerate(cover), 2)
         ]
-        families = compatible_families([space.ring(c).order for c in cover], agreements)
+        families = rg.compatible_families([space.ring(c).order for c in cover], agreements)
         if any(family not in restricted for family in families):
             return [f"gluing axiom fails over {sorted(v)}"]
     return []
@@ -439,10 +408,10 @@ class GluedRinged:
         return {i: leg.top for i, leg in self.legs.items()}
 
 
-def glued_families(g: RingedGluingFunctor, pre) -> list[tuple[int, ...]]:
-    """Sections of the glued space over an open whose preimage in chart i
-    is ``pre[i]``: the tuples of chart sections that agree on every
-    overlap, through the transport (i, j) for each ordered pair."""
+def glued_agreements(g: RingedGluingFunctor, pre) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+    """What cuts the glued sections over an open whose preimage in chart i
+    is ``pre[i]`` out of the chart sections: for each ordered pair (i, j),
+    they agree on the overlap through the transport (i, j)."""
     agreements = []
     for i, j in permutations(range(g.n), 2):
         w = pre[i] & g.overlaps[(i, j)]
@@ -450,17 +419,7 @@ def glued_families(g: RingedGluingFunctor, pre) -> list[tuple[int, ...]]:
         here = g.charts[i].res(pre[i], w).assign
         mirror = g.charts[j].res(pre[j], g.top_image(i, j, w)).assign
         agreements.append((i, j, tuple(there[x] for x in here), mirror))
-    return compatible_families([g.charts[i].ring(pre[i]).order for i in range(g.n)], agreements)
-
-
-def _family_table(tables, keep, index) -> rg.Table:
-    """A chart-wise operation on the families ``keep``, as a table of
-    their indexes: entry (a, b) is the family of the chart results."""
-    columns = list(zip(*keep))
-    return tuple(
-        tuple(map(index.__getitem__, zip(*(map(t[x].__getitem__, c) for t, x, c in zip(tables, a, columns)))))
-        for a in keep
-    )
+    return agreements
 
 
 def glue_ringed(g: RingedGluingFunctor) -> GluedRinged:
@@ -482,37 +441,28 @@ def glue_ringed(g: RingedGluingFunctor) -> GluedRinged:
     members: dict[Open, list[tuple[int, ...]]] = {}
     indexes: dict[Open, dict[tuple[int, ...], int]] = {}
     sections: dict[Open, rg.FinCommRing] = {}
+    projections: dict[Open, list[rg.RingHom]] = {}
     for v in q.sorted_opens:
-        parts = [g.charts[i].ring(inv[i][v]) for i in range(g.n)]
-        keep = members[v] = glued_families(g, [inv[i][v] for i in range(g.n)])
-        index = indexes[v] = {t: a for a, t in enumerate(keep)}
-        add = _family_table([r.add for r in parts], keep, index)
-        mul = _family_table([r.mul for r in parts], keep, index)
-        zero = index[tuple(r.zero for r in parts)]
-        one = index[tuple(r.one for r in parts)]
-        sections[v] = rg.FinCommRing(add, mul, zero, one)
+        pre = [inv[i][v] for i in range(g.n)]
+        parts = [g.charts[i].ring(p) for i, p in enumerate(pre)]
+        sections[v], members[v], projections[v] = rg.compatible_subring(parts, glued_agreements(g, pre))
+        indexes[v] = {t: a for a, t in enumerate(members[v])}
     restr: dict[tuple[Open, Open], rg.RingHom] = {}
     for u in q.sorted_opens:
         for v in q.sorted_opens:
             if not v <= u:
                 continue
-            maps = [g.charts[i].res(inv[i][u], inv[i][v]).assign for i in range(g.n)]
-            assign = []
-            for t in members[u]:
-                restricted = tuple(m[x] for m, x in zip(maps, t))
-                if restricted not in indexes[v]:
-                    raise FalsificationError("restriction leaves the compatible families")
-                assign.append(indexes[v][restricted])
-            restr[(u, v)] = rg.RingHom(sections[u], sections[v], tuple(assign))
+            res = [g.charts[i].res(inv[i][u], inv[i][v]) for i in range(g.n)]
+            components = list(map(rg.compose_ring_hom, res, projections[u]))
+            h = restr[(u, v)] = rg.factor_through_subring(sections[u], components, sections[v], indexes[v])
+            if h is None:
+                raise FalsificationError("restriction leaves the compatible families")
     try:
         space = make_ringed_space(q, sections, restr)
     except ValidationError as exc:
         raise FalsificationError(f"glued structure sheaf failed: {exc}") from exc
     legs = {
-        i: RingedSpaceMorphism(space, g.charts[i], top_legs[i], {
-            v: rg.RingHom(sections[v], g.charts[i].ring(inv[i][v]), tuple(t[i] for t in members[v]))
-            for v in q.sorted_opens
-        })
+        i: RingedSpaceMorphism(space, g.charts[i], top_legs[i], {v: projections[v][i] for v in q.sorted_opens})
         for i in range(g.n)
     }
     glued = GluedRinged(rep, space, legs, members, top_functor)
@@ -601,17 +551,9 @@ def verify_ringed_glued(
     for v in candidate.top.sorted_opens:
         vq = mu.preimage_of(v)
         idx = {t: a for a, t in enumerate(glued.members[vq])}
-        assign = []
-        for s in candidate.ring(v).elements():
-            t = tuple(legs[i].sheaf[v](s) for i in range(g.n))
-            if t not in idx:
-                comparison_ok = False
-                break
-            assign.append(idx[t])
-        if not comparison_ok:
-            break
-        comp = rg.RingHom(candidate.ring(v), glued.space.ring(vq), tuple(assign))
-        if not rg.is_ring_iso(comp):
+        sheaf = [legs[i].sheaf[v] for i in range(g.n)]
+        comp = rg.factor_through_subring(candidate.ring(v), sheaf, glued.space.ring(vq), idx)
+        if comp is None or not rg.is_ring_iso(comp):
             comparison_ok = False
             break
         for i in range(g.n):

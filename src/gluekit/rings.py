@@ -18,17 +18,26 @@ that is closed under +:
 Zero is a sum of generators in a finite group, so those sets are
 everything.  ``make_ring`` thus costs O(q²·|G|) and ``is_ring_hom``
 O(q·|G|), with |G| ≤ log₂ q.
+
+Only this module builds ring tables.  A product of rings, and the
+compatible families cut out of it by agreements (the sections of a glued
+ringed space), come from ``compatible_subring``; maps into them come
+from ``factor_through_subring``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product as iproduct
 
 from .errors import ValidationError
 
 Table = tuple[tuple[int, ...], ...]
+
+# the most partial families a join keeps; the most entries of a subring's
+# q×q table (q = 4,096 families still runs)
+_SECTION_PRODUCT_CAP = 200_000
+_SUBRING_TABLE_CAP = 4_096 ** 2
 
 
 @dataclass(frozen=True)
@@ -144,32 +153,82 @@ def zmod(n: int) -> FinCommRing:
     return FinCommRing(add, mul, 0, 1 % n)
 
 
-def product_ring(rings) -> tuple[FinCommRing, list[list[int]]]:
-    """Componentwise product; returns the ring and, per factor, the
-    projection table element -> factor element."""
-    rings = list(rings)
-    tuples = list(iproduct(*(r.elements() for r in rings))) if rings else [()]
-    index = {t: k for k, t in enumerate(tuples)}
-    q = len(tuples)
-    add = tuple(
-        tuple(
-            index[tuple(r.add[a[k]][b[k]] for k, r in enumerate(rings))]
-            for b in tuples
+def compatible_families(orders, agreements) -> list[tuple[int, ...]]:
+    """The tuples x, with x[a] < orders[a], that satisfy fa[x[a]] == fb[x[b]]
+    for every (a, b, fa, fb) in ``agreements``, in lexicographic order.
+
+    Built one factor at a time: factor j's elements are keyed by their
+    values under every agreement between j and an earlier factor, in
+    either direction, and each partial family is extended with one
+    lookup.  So the work follows the families kept, and more than
+    ``_SECTION_PRODUCT_CAP`` of them is refused."""
+    families: list[tuple[int, ...]] = [()]
+    for j, order in enumerate(orders):
+        own, earlier = [], []
+        for a, b, fa, fb in agreements:
+            if b == j and a < j:
+                own.append(fb)
+                earlier.append((a, fa))
+            elif a == j and b < j:
+                own.append(fa)
+                earlier.append((b, fb))
+        extensions: dict[tuple[int, ...], list[int]] = {}
+        for x in range(order):
+            extensions.setdefault(tuple(f[x] for f in own), []).append(x)
+        families = [
+            family + (x,)
+            for family in families
+            for x in extensions.get(tuple(f[family[a]] for a, f in earlier), ())
+        ]
+        if len(families) > _SECTION_PRODUCT_CAP:
+            raise ValidationError(
+                f"sections too large to enumerate: more than {_SECTION_PRODUCT_CAP} compatible families"
+            )
+    return families
+
+
+def compatible_subring(parts, agreements) -> tuple[FinCommRing, list[tuple[int, ...]], list[RingHom]]:
+    """The families x in the product of the rings ``parts`` with
+    fa[x[a]] == fb[x[b]] for every (a, b, fa, fb) in ``agreements``, closed
+    under the factorwise operations when each fa and fb is a ring hom: the
+    ring counterpart of ``abgroups.compatible_subgroup``.  Returns (subring,
+    members, projections): element e is the family members[e], in
+    ``compatible_families`` order (``itertools.product`` order with no
+    agreements), and projections[k] reads factor k.  The empty product is
+    the zero ring on the family ().  Two q×q tables of more than
+    ``_SUBRING_TABLE_CAP`` entries are refused."""
+    parts = list(parts)
+    if not parts:
+        return zmod(1), [()], []
+    members = compatible_families([r.order for r in parts], agreements)
+    if len(members) ** 2 > _SUBRING_TABLE_CAP:
+        raise ValidationError(f"sections too large to tabulate: {len(members)} compatible families")
+    index = {t: e for e, t in enumerate(members)}
+    columns = list(zip(*members))
+
+    def table(tables) -> Table:
+        # entry (a, b) is the family of the factorwise results
+        return tuple(
+            tuple(map(index.__getitem__, zip(*(map(t[x].__getitem__, c) for t, x, c in zip(tables, a, columns)))))
+            for a in members
         )
-        for a in tuples
+
+    ring = FinCommRing(
+        table([r.add for r in parts]), table([r.mul for r in parts]),
+        index[tuple(r.zero for r in parts)], index[tuple(r.one for r in parts)],
     )
-    mul = tuple(
-        tuple(
-            index[tuple(r.mul[a[k]][b[k]] for k, r in enumerate(rings))]
-            for b in tuples
-        )
-        for a in tuples
-    )
-    zero = index[tuple(r.zero for r in rings)]
-    one = index[tuple(r.one for r in rings)]
-    ring = FinCommRing(add, mul, zero, one)
-    projections = [[tuples[e][k] for e in range(q)] for k in range(len(rings))]
-    return ring, projections
+    return ring, members, [RingHom(ring, r, c) for r, c in zip(parts, columns)]
+
+
+def factor_through_subring(dom: FinCommRing, components, sub: FinCommRing, index) -> RingHom | None:
+    """The hom into the subring ``sub`` whose composite with projection k is
+    ``components[k]``, as ``abgroups.factor_through(abgroups.pairing(...),
+    inclusion)`` is for groups; ``index`` maps each member of ``sub`` to its
+    element.  None when some family of images is not a member.  With no
+    components every element goes to the empty family."""
+    images = zip(*(h.assign for h in components)) if components else [()] * dom.order
+    assign = tuple(map(index.get, images))
+    return None if None in assign else RingHom(dom, sub, assign)
 
 
 def units(ring: FinCommRing) -> set[int]:
@@ -177,14 +236,12 @@ def units(ring: FinCommRing) -> set[int]:
 
 
 def is_local_ring(ring: FinCommRing) -> bool:
-    """Local iff the non-units are closed under addition (they always absorb
-    multiplication in a finite commutative ring); the zero ring is not
-    local."""
-    if ring.order == 1:
-        return False
-    unit_set = units(ring)
-    non_units = [a for a in ring.elements() if a not in unit_set]
-    return all(ring.add[a][b] not in unit_set for a in non_units for b in non_units)
+    """Local iff nonzero with no idempotent but 0 and 1, in O(q): a finite
+    commutative ring is a product of local rings, a local ring has no other
+    idempotent, and a product of two nonzero rings has the idempotent
+    (1, 0)."""
+    mul, trivial = ring.mul, (ring.zero, ring.one)
+    return ring.order > 1 and all(mul[a][a] != a or a in trivial for a in ring.elements())
 
 
 @dataclass(frozen=True)

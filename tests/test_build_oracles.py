@@ -40,6 +40,7 @@ from gluekit import ringedglue as rgl
 from gluekit import topglue as tg
 from gluekit.indexcat import Eta, EtaT, Tau, TauT, index_category, pair, single, triple
 from test_ringedglue import restrict_ringed
+from test_rings import reference_product_ring
 
 DRAWS = 200
 VARIANTS = ("lrts", "rts")
@@ -70,10 +71,10 @@ def reference_locally_constant_ringed(space, base_ring):
     ring and restriction built afresh."""
     opens = space.sorted_opens
     comps = {o: reference_components(space, o) for o in opens}
-    sections = {o: rg.product_ring([base_ring] * len(comps[o]))[0] for o in opens}
+    sections = {o: reference_product_ring([base_ring] * len(comps[o]))[0] for o in opens}
     restr = {}
     for u in opens:
-        _, proj_u = rg.product_ring([base_ring] * len(comps[u]))
+        _, proj_u = reference_product_ring([base_ring] * len(comps[u]))
         for v in opens:
             if v <= u:
                 parents = [next(k for k, cu in enumerate(comps[u]) if cv <= cu) for cv in comps[v]]

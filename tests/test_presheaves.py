@@ -489,13 +489,13 @@ def test_presheaf_law_checker_matches_group_oracle():
 
 def component_swap(space, base, u):
     """Swap the first two components of the locally constant ring over u,
-    ``product_ring([base] * k)``; None when u has fewer than two."""
+    ``compatible_subring([base] * k, ())``; None when u has fewer than two."""
     k = len(ft.components_of_open(space, u))
     if k < 2 or base.order < 2:
         return None
     tuples = list(iproduct(base.elements(), repeat=k))
     index = {t: e for e, t in enumerate(tuples)}
-    ring = rg.product_ring([base] * k)[0]
+    ring = rg.compatible_subring([base] * k, ())[0]
     return rg.RingHom(ring, ring, tuple(index[(t[1], t[0], *t[2:])] for t in tuples))
 
 
@@ -716,9 +716,9 @@ def test_naturality_checker_matches_oracle_on_sheaf_transitions_and_limit_legs()
 
 @lru_cache(maxsize=None)
 def factor_reindexings(m, k):
-    """product_ring([zmod(m)] * k) with its ring endomorphisms other than
-    the identity: each reads factor s[x] into factor x."""
-    ring = rg.product_ring([rg.zmod(m)] * k)[0]
+    """The product of k copies of zmod(m) with its ring endomorphisms other
+    than the identity: each reads factor s[x] into factor x."""
+    ring = rg.compatible_subring([rg.zmod(m)] * k, ())[0]
     tuples = list(iproduct(range(m), repeat=k))
     index = {t: e for e, t in enumerate(tuples)}
     return ring, [

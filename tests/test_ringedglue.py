@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from gluekit.indexcat import single
 from test_abgroups import same_element
 from test_fintop import indiscrete_space, sierpinski
 from test_presheaves import every_cover, irredundant_covers, random_space, random_support
+from test_rings import reference_pairing_into, reference_product_ring, relabeled
 
 S = sierpinski()
 
@@ -238,19 +240,19 @@ def ring_failures_on_covers(space, covers):
 def coordinate_ringed(space, support):
     """F(V) = (Z/2)^{f(V)} as a product ring, restrictions the coordinate
     projections; unchecked, so that non-sheaves can be built."""
-    rings = {k: rg.product_ring([rg.zmod(2)] * k) for k in {len(c) for c in support.values()}}
+    rings = {k: rg.compatible_subring([rg.zmod(2)] * k, ()) for k in {len(c) for c in support.values()}}
     opens = space.sorted_opens
     sections = {o: rings[len(support[o])][0] for o in opens}
     restr = {}
     for u in opens:
-        ring_u, proj_u = rings[len(support[u])]
+        ring_u, _, proj_u = rings[len(support[u])]
         for v in opens:
             if not v <= u:
                 continue
-            ring_v, proj_v = rings[len(support[v])]
-            index_v = {tuple(p[e] for p in proj_v): e for e in ring_v.elements()}
+            ring_v, members_v, _ = rings[len(support[v])]
+            index_v = {t: e for e, t in enumerate(members_v)}
             keep = [support[u].index(d) for d in support[v]]
-            assign = tuple(index_v[tuple(proj_u[k][e] for k in keep)] for e in ring_u.elements())
+            assign = tuple(index_v[tuple(proj_u[k](e) for k in keep)] for e in ring_u.elements())
             restr[(u, v)] = rg.RingHom(ring_u, ring_v, assign)
     return rgl.RingedSpace(space, sections, restr)
 
@@ -284,7 +286,7 @@ def test_locality_examples():
     assert rg.is_local_ring(rg.zmod(4))
     assert not rg.is_local_ring(rg.zmod(6))
     assert not rg.is_local_ring(rg.zmod(1))
-    prod, _ = rg.product_ring([rg.zmod(2), rg.zmod(2)])
+    prod = rg.compatible_subring([rg.zmod(2), rg.zmod(2)], ())[0]
     assert not rg.is_local_ring(prod)
 
 
@@ -304,7 +306,7 @@ def test_additive_presentation_matches_structure():
                 ca, cb = coords[a], coords[b]
                 csum = tuple(x + y for x, y in zip(ca, cb))
                 assert same_element(group, csum, coords[ring.add[a][b]])
-    prod, _ = rg.product_ring([rg.zmod(2), rg.zmod(2)])
+    prod = rg.compatible_subring([rg.zmod(2), rg.zmod(2)], ())[0]
     group, _, _ = additive_group_presentation(prod)
     assert ab.invariants(group) == (0, (2, 2))
 
@@ -663,9 +665,16 @@ def test_compatible_families_match_the_product_filter():
             x for x in iproduct(*(range(o) for o in orders))
             if all(fa[x[a]] == fb[x[b]] for a, b, fa, fb in agreements)
         ]
-        assert rgl.compatible_families(orders, agreements) == expected, (orders, agreements)
+        assert rg.compatible_families(orders, agreements) == expected, (orders, agreements)
         kept += len(expected)
     assert kept > 1000
+
+
+def glued_families(g, pre):
+    """The glued sections' members over an open whose preimage in chart i is
+    ``pre[i]``, from the join alone, which needs no ring laws."""
+    orders = [g.charts[i].ring(p).order for i, p in enumerate(pre)]
+    return rg.compatible_families(orders, rgl.glued_agreements(g, pre))
 
 
 def test_glued_families_match_the_product_filter():
@@ -683,13 +692,133 @@ def test_glued_families_match_the_product_filter():
         for v in rep.space.sorted_opens:
             pre = [legs[i].preimage_of(v) for i in range(g.n)]
             expected[v] = reference_glued_members(g, pre)
-            assert rgl.glued_families(g, pre) == expected[v]
-            got = rgl.glued_families(bad, pre)
+            assert glued_families(g, pre) == expected[v]
+            got = glued_families(bad, pre)
             assert got == reference_glued_members(bad, pre)
             opens_checked += 1
             differing += got != expected[v]
         assert rgl.glue_ringed(g).members == expected
     assert opens_checked >= 500 and differing >= 200, (opens_checked, differing)
+
+
+def reference_family_table(tables, keep, index):
+    """``ringedglue._family_table`` as it was before ``compatible_subring``:
+    a chart-wise operation on the families ``keep``, as a table of their
+    indexes, entry (a, b) the family of the chart results."""
+    columns = list(zip(*keep))
+    return tuple(
+        tuple(map(index.__getitem__, zip(*(map(t[x].__getitem__, c) for t, x, c in zip(tables, a, columns)))))
+        for a in keep
+    )
+
+
+def reference_glued_tables(g, glued):
+    """The section rings, projections and restrictions that glue_ringed
+    built by hand on the families ``glued.members`` before
+    ``compatible_subring``: the rings with ``reference_family_table``, the
+    projections and the restrictions by tuple loops (None where a
+    restricted tuple leaves the families)."""
+    opens = glued.space.top.sorted_opens
+    inv = {v: [glued.top_legs[i].preimage_of(v) for i in range(g.n)] for v in opens}
+    indexes = {v: {t: a for a, t in enumerate(glued.members[v])} for v in opens}
+    sections, projections, restr = {}, {}, {}
+    for v in opens:
+        parts = [g.charts[i].ring(p) for i, p in enumerate(inv[v])]
+        keep, index = glued.members[v], indexes[v]
+        add = reference_family_table([r.add for r in parts], keep, index)
+        mul = reference_family_table([r.mul for r in parts], keep, index)
+        sections[v] = rg.FinCommRing(add, mul, index[tuple(r.zero for r in parts)], index[tuple(r.one for r in parts)])
+        projections[v] = [tuple(t[i] for t in keep) for i in range(g.n)]
+    for u in opens:
+        for v in opens:
+            if not v <= u:
+                continue
+            maps = [g.charts[i].res(inv[u][i], inv[v][i]).assign for i in range(g.n)]
+            assign = []
+            for t in glued.members[u]:
+                restricted = tuple(m[x] for m, x in zip(maps, t))
+                if restricted not in indexes[v]:
+                    assign = None
+                    break
+                assign.append(indexes[v][restricted])
+            restr[(u, v)] = assign and tuple(assign)
+    return sections, projections, restr
+
+
+def relabeled_candidate(rng, glued):
+    """The glued ringed space with every section ring relabeled, its legs
+    read through the relabeling, and per open the map back, which the
+    comparison of a verification must find."""
+    space = glued.space
+    copies = {v: relabeled(rng, space.ring(v)) for v in space.top.sorted_opens}
+    back = {v: tuple(sorted(range(len(perm)), key=perm.__getitem__)) for v, (_, perm) in copies.items()}
+    sections = {v: copy for v, (copy, _) in copies.items()}
+
+    def through(h, u, cod, after=lambda y: y):
+        return rg.RingHom(sections[u], cod, tuple(after(h.assign[b]) for b in back[u]))
+
+    restr = {(u, v): through(h, u, sections[v], copies[v][1].__getitem__) for (u, v), h in space.restr.items()}
+    candidate = rgl.RingedSpace(space.top, sections, restr)
+    legs = {
+        i: rgl.RingedSpaceMorphism(candidate, leg.cod, leg.top, {u: through(h, u, h.cod) for u, h in leg.sheaf.items()})
+        for i, leg in glued.legs.items()
+    }
+    return candidate, legs, back
+
+
+def oracle_functors(rng):
+    """200 seeded functors of both variants, then the ringed fixture, the
+    two-origins and twisted-point charts and two discrete covers."""
+    for k in range(200):
+        yield gen.random_ringed_functor(rng, "lrts" if k % 2 == 0 else "rts")
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "two_origins_ringed.json")
+    with open(path, encoding="utf-8") as fh:
+        yield jsonio.parse_document(json.load(fh))["data"]
+    yield two_origins_ringed()
+    yield twisted_point_charts(set())
+    yield discrete_cover_ringed(3, [(0, 1), (1, 2)], rg.zmod(2))
+    yield discrete_cover_ringed(3, [(0, 1), (1, 2), (0, 2)], rg.zmod(3))
+
+
+def test_glued_tables_and_maps_match_the_hand_built_ones():
+    """On every glued open: the section ring's tables and projections, and
+    every restriction, against the hand-built reference; and the
+    comparison of a relabeled candidate, and of candidate legs with one
+    image changed, against the tuple loop, with verification accepting the
+    relabeled candidate.  Zero factors come in through the locally constant
+    charts' empty opens, which have no components."""
+    rng = random.Random(53)
+    opens = changed = missed = 0
+    for g in oracle_functors(rng):
+        glued = rgl.glue_ringed(g)
+        sections, projections, restr = reference_glued_tables(g, glued)
+        space = glued.space
+        for v in space.top.sorted_opens:
+            assert space.ring(v) == sections[v]
+            assert [glued.legs[i].sheaf[v].assign for i in range(g.n)] == projections[v]
+            opens += 1
+        assert {key: h.assign for key, h in space.restr.items()} == restr
+        candidate, legs, back = relabeled_candidate(rng, glued)
+        assert rgl.verify_ringed_glued(candidate, legs, g, glued)["verdict"]
+        for v in space.top.sorted_opens:
+            index = {t: a for a, t in enumerate(glued.members[v])}
+            comps = [legs[i].sheaf[v] for i in range(g.n)]
+            maps = [h.assign for h in comps]
+            got = rg.factor_through_subring(candidate.ring(v), comps, space.ring(v), index)
+            assert got.assign == reference_pairing_into(candidate.ring(v), maps, glued.members[v]) == back[v]
+            i = rng.randrange(g.n)
+            if comps[i].cod.order > 1:
+                e = rng.randrange(candidate.ring(v).order)
+                maps[i] = maps[i][:e] + ((maps[i][e] + 1) % comps[i].cod.order,) + maps[i][e + 1:]
+                comps[i] = rg.RingHom(comps[i].dom, comps[i].cod, maps[i])
+                got = rg.factor_through_subring(candidate.ring(v), comps, space.ring(v), index)
+                expected = reference_pairing_into(candidate.ring(v), maps, glued.members[v])
+                assert (got and got.assign) == expected
+                changed += 1
+                missed += expected is None
+    assert opens >= 600 and changed >= 400 and missed >= 250, (opens, changed, missed)
+    empty = rg.compatible_subring([], ())
+    assert (empty[0], empty[1:]) == (reference_product_ring([])[0], ([()], []))
 
 
 def discrete_cover_ringed(points, chart_points, base_ring, variant="rts"):
@@ -722,13 +851,26 @@ def test_cap_bounds_the_families_kept_not_the_product(tmp_path, capsys, monkeypa
     code, captured = verify_ringed_document(tmp_path, capsys, g)
     assert code == 0, captured.err
     assert json.loads(captured.out)["verdict"] is True
-    monkeypatch.setattr(rgl, "_SECTION_PRODUCT_CAP", 256)
+    monkeypatch.setattr(rg, "_SECTION_PRODUCT_CAP", 256)
     glued = rgl.glue_ringed(g)
     assert glued.space.ring(glued.space.top.full()).order == 256
-    monkeypatch.setattr(rgl, "_SECTION_PRODUCT_CAP", 255)
+    monkeypatch.setattr(rg, "_SECTION_PRODUCT_CAP", 255)
     code, captured = verify_ringed_document(tmp_path, capsys, g)
     assert code == 2
     assert "too large" in captured.err
+
+
+def test_table_cap_bounds_the_glued_tables(tmp_path, capsys, monkeypatch):
+    """The document of the test above: its glued ring over the whole space
+    has 256 elements, so two tables of 65,536 entries."""
+    g = discrete_cover_ringed(4, [(0, 1, 2), (1, 2, 3), (0, 2, 3)], rg.zmod(4))
+    monkeypatch.setattr(rg, "_SUBRING_TABLE_CAP", 256 * 256)
+    glued = rgl.glue_ringed(g)
+    assert glued.space.ring(glued.space.top.full()).order == 256
+    monkeypatch.setattr(rg, "_SUBRING_TABLE_CAP", 256 * 256 - 1)
+    code, captured = verify_ringed_document(tmp_path, capsys, g)
+    assert code == 2
+    assert "too large to tabulate: 256 compatible families" in captured.err
 
 
 def test_law_failure_of_the_glued_space_is_a_falsification(tmp_path, capsys, monkeypatch):
@@ -778,7 +920,7 @@ def twisted_point_charts(twists):
     point; the transport (i, j) is the factor swap for each (i, j) in
     ``twists`` and the identity otherwise.  Every transport is a natural
     ring isomorphism."""
-    ring, _ = rg.product_ring([rg.zmod(2), rg.zmod(2)])
+    ring = rg.compatible_subring([rg.zmod(2), rg.zmod(2)], ())[0]
     swap = rg.RingHom(ring, ring, (0, 2, 1, 3))
     assert rg.is_ring_iso(swap)
     chart = gen.locally_constant_ringed(ft.point_space(), ring)
@@ -828,10 +970,13 @@ def test_transitions_that_are_not_inverse_on_points_are_refused(tmp_path, capsys
     a, b = frozenset({0}), frozenset({1})
     chart = coordinate_ringed(ft.discrete_space(2), {frozenset(): [], a: [0], b: [1, 2], a | b: [0, 1, 2]})
 
+    def power(k):
+        return rg.compatible_subring([rg.zmod(2)] * k, ())
+
     def coordinate_hom(dom, cod, f):
-        (ring_d, proj_d), (ring_c, proj_c) = (rg.product_ring([rg.zmod(2)] * k) for k in (dom, cod))
-        index = {tuple(p[e] for p in proj_c): e for e in ring_c.elements()}
-        return rg.RingHom(ring_d, ring_c, tuple(index[f(tuple(p[e] for p in proj_d))] for e in ring_d.elements()))
+        (ring_d, members_d, _), (ring_c, members_c, _) = (power(k) for k in (dom, cod))
+        index = {t: e for e, t in enumerate(members_c)}
+        return rg.RingHom(ring_d, ring_c, tuple(index[f(t)] for t in members_d))
 
     identity = {w: rg.identity_ring_hom(chart.ring(w)) for w in chart.top.sorted_opens}
     swapped = {

@@ -3,10 +3,13 @@ definition-level checks over all triples and pairs."""
 
 import random
 import re
+from collections import Counter
 from itertools import product as iproduct
 
 import pytest
 
+from gluekit import fintop as ft
+from gluekit import generators as gen
 from gluekit import rings as rg
 from gluekit.errors import ValidationError
 
@@ -71,11 +74,57 @@ def reference_is_ring_hom(h):
 
 
 def reference_is_local_ring(ring):
-    """is_local_ring with the units recomputed per element."""
+    """Locality as the non-units closed under addition (they always absorb
+    multiplication in a finite commutative ring), with the units recomputed
+    per element; the zero ring is not local."""
     if ring.order == 1:
         return False
     non_units = [a for a in ring.elements() if a not in rg.units(ring)]
     return all(ring.add[a][b] in non_units for a in non_units for b in non_units)
+
+
+def reference_product_ring(rings):
+    """The componentwise product as ``rings.product_ring`` built it before
+    ``compatible_subring``: the ring, and per factor the projection table
+    element -> factor element."""
+    rings = list(rings)
+    tuples = list(iproduct(*(r.elements() for r in rings))) if rings else [()]
+    index = {t: k for k, t in enumerate(tuples)}
+    q = len(tuples)
+    add = tuple(
+        tuple(
+            index[tuple(r.add[a[k]][b[k]] for k, r in enumerate(rings))]
+            for b in tuples
+        )
+        for a in tuples
+    )
+    mul = tuple(
+        tuple(
+            index[tuple(r.mul[a[k]][b[k]] for k, r in enumerate(rings))]
+            for b in tuples
+        )
+        for a in tuples
+    )
+    zero = index[tuple(r.zero for r in rings)]
+    one = index[tuple(r.one for r in rings)]
+    ring = rg.FinCommRing(add, mul, zero, one)
+    projections = [[tuples[e][k] for e in range(q)] for k in range(len(rings))]
+    return ring, projections
+
+
+def reference_pairing_into(dom, maps, members):
+    """The loop that mapped into a ring of families before
+    ``factor_through_subring``: each element's tuple of images under
+    ``maps`` (assignment tables), looked up among ``members``; None when
+    one is missing."""
+    index = {t: a for a, t in enumerate(members)}
+    assign = []
+    for e in dom.elements():
+        t = tuple(m[e] for m in maps)
+        if t not in index:
+            return None
+        assign.append(index[t])
+    return tuple(assign)
 
 
 def hom_failure(h):
@@ -108,7 +157,7 @@ def seeded_rings(rng):
     """Z/n, products of small Z/n and relabeled copies of both."""
     rings = [rg.zmod(n) for n in range(1, 17)]
     for factors in ([2, 2], [2, 3], [2, 4], [3, 3], [2, 2, 2], [4, 2], [2, 2, 3], [4, 4], [2, 2, 2, 2]):
-        rings.append(rg.product_ring([rg.zmod(n) for n in factors])[0])
+        rings.append(rg.compatible_subring([rg.zmod(n) for n in factors], ())[0])
     return rings + [relabeled(rng, r)[0] for r in rings]
 
 
@@ -223,9 +272,10 @@ def test_make_ring_agrees_on_every_three_element_table():
 
 
 def product_elements(factors):
-    """product_ring of the factors and the element index of each tuple."""
-    ring, proj = rg.product_ring([rg.zmod(n) for n in factors])
-    return ring, {tuple(p[e] for p in proj): e for e in ring.elements()}, proj
+    """The product of the factors, the element index of each tuple, and
+    the projection tables."""
+    ring, members, proj = rg.compatible_subring([rg.zmod(n) for n in factors], ())
+    return ring, {t: e for e, t in enumerate(members)}, [p.assign for p in proj]
 
 
 def unital_linear_map(rng, p, k, m):
@@ -310,8 +360,71 @@ def test_units_and_locality_agree_with_definition():
     assert any(local) and not all(local)
 
 
-@pytest.mark.parametrize("ring", [rg.zmod(1), rg.zmod(2), rg.product_ring([rg.zmod(2)] * 3)[0]])
+@pytest.mark.parametrize("ring", [rg.zmod(1), rg.zmod(2), rg.compatible_subring([rg.zmod(2)] * 3, ())[0]])
 def test_zero_ring_hom_needs_zero_codomain(ring):
     zero = rg.zmod(1)
     to_ring = rg.RingHom(zero, ring, (ring.one,))
     assert rg.is_ring_hom(to_ring) == reference_is_ring_hom(to_ring) == (ring.order == 1)
+
+
+def locality_rings(rng):
+    """Z/1 to Z/64, the products of two Z/n with n <= 6 and of three with
+    n <= 4, and every chart stalk of 200 seeded ringed functors of both
+    variants."""
+    rings = [rg.zmod(n) for n in range(1, 65)]
+    for k, top in ((2, 6), (3, 4)):
+        for ns in iproduct(range(1, top + 1), repeat=k):
+            rings.append(rg.compatible_subring([rg.zmod(n) for n in ns], ())[0])
+    for draw in range(200):
+        g = gen.random_ringed_functor(rng, "lrts" if draw % 2 == 0 else "rts")
+        rings += [chart.ring(ft.minimal_open(chart.top, x)) for chart in g.charts for x in range(chart.top.n)]
+    return rings
+
+
+def test_locality_by_idempotents_agrees_with_the_non_unit_oracle():
+    """The zero ring is among the rings, and is not local."""
+    verdicts = Counter()
+    for ring in locality_rings(random.Random(37)):
+        expected = reference_is_local_ring(ring)
+        assert rg.is_local_ring(ring) == expected, ring
+        verdicts[expected] += 1
+    assert verdicts[True] >= 500 and verdicts[False] >= 100, verdicts
+    assert not rg.is_local_ring(rg.zmod(1))
+
+
+def test_compatible_subring_without_agreements_is_the_reference_product():
+    """Products of zero to three factors, the empty product among them:
+    the tables and projections of the reference product, its tuples in
+    ``itertools.product`` order, and maps into it that agree with the
+    tuple loop, from the product itself and from a random ring."""
+    rng = random.Random(41)
+    pool = [rg.zmod(1), rg.zmod(2), rg.zmod(3), rg.zmod(4), relabeled(rng, rg.zmod(4))[0]]
+    pool.append(relabeled(rng, rg.compatible_subring([rg.zmod(2), rg.zmod(3)], ())[0])[0])
+    lists = [list(fs) for k in range(3) for fs in iproduct(pool, repeat=k)]
+    lists += [[rng.choice(pool) for _ in range(3)] for _ in range(40)]
+    for factors in lists:
+        ring, members, projections = rg.compatible_subring(factors, ())
+        expected, expected_projections = reference_product_ring(factors)
+        assert ring == expected, factors
+        assert members == list(iproduct(*(r.elements() for r in factors)))
+        assert [p.assign for p in projections] == [tuple(p) for p in expected_projections]
+        assert [(p.dom, p.cod) for p in projections] == [(ring, r) for r in factors]
+        index = {t: e for e, t in enumerate(members)}
+        assert rg.factor_through_subring(ring, projections, ring, index) == rg.identity_ring_hom(ring)
+        dom = rng.choice(pool)
+        maps = [tuple(rng.randrange(r.order) for _ in dom.elements()) for r in factors]
+        got = rg.factor_through_subring(dom, [rg.RingHom(dom, r, m) for r, m in zip(factors, maps)], ring, index)
+        assert (got.dom, got.cod, got.assign) == (dom, ring, reference_pairing_into(dom, maps, members))
+    assert sum(not fs for fs in lists) == 1
+
+
+def test_table_cap_admits_4096_families_and_no_more():
+    """A stand-in factor with 4,097 elements: the join keeps them all, and
+    the tables are refused before any is built."""
+
+    class Elements:
+        order = 4097
+
+    with pytest.raises(ValidationError, match="too large to tabulate: 4097 compatible families"):
+        rg.compatible_subring([Elements()], ())
+    assert 4096 ** 2 <= rg._SUBRING_TABLE_CAP < 4097 ** 2
